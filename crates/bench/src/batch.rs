@@ -93,7 +93,7 @@ pub type VerdictKey = (Answer, Option<MaybeReason>, bool);
 fn fingerprint(outcome: &apt_core::Outcome) -> VerdictKey {
     (
         outcome.verdict.answer,
-        outcome.maybe_reason,
+        outcome.verdict.reason,
         outcome.proof.is_some(),
     )
 }

@@ -1,4 +1,4 @@
-//! Measures the Maybe-rate collapse of the three-engine portfolio
+//! Measures the Maybe-rate collapse of the prover-and-refuter portfolio
 //! against the axiomatic prover alone on the Figure 7 suite plus
 //! overlapping-path queries, and writes `BENCH_portfolio.json` to the
 //! current directory.
@@ -50,8 +50,8 @@ fn main() {
         );
     }
     println!(
-        "wins: axiomatic {}, dyck {}, refuter {}",
-        result.stats.axiomatic.wins, result.stats.dyck.wins, result.stats.refuter.wins
+        "wins: axiomatic {}, refuter {}",
+        result.stats.axiomatic.wins, result.stats.refuter.wins
     );
     println!(
         "witnesses: {} produced, {} re-validated",

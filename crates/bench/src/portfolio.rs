@@ -1,6 +1,6 @@
-//! Portfolio Maybe-rate: the axiomatic prover alone vs. the three-engine
-//! race on the Figure 7 sparse-matrix suite plus a family of
-//! overlapping-path queries the axioms alone can never settle.
+//! Portfolio Maybe-rate: the axiomatic prover alone vs. the
+//! prover-and-refuter race on the Figure 7 sparse-matrix suite plus a
+//! family of overlapping-path queries the axioms alone can never settle.
 //!
 //! The axiomatic prover is refutation-free: a query whose paths *do*
 //! collide (an identical-path self query, a chain walk against its own
@@ -193,8 +193,8 @@ impl PortfolioBenchResult {
         );
         let _ = writeln!(
             s,
-            "  \"wins\": {{\"axiomatic\": {}, \"dyck\": {}, \"refuter\": {}}},",
-            self.stats.axiomatic.wins, self.stats.dyck.wins, self.stats.refuter.wins
+            "  \"wins\": {{\"axiomatic\": {}, \"refuter\": {}}},",
+            self.stats.axiomatic.wins, self.stats.refuter.wins
         );
         let _ = writeln!(s, "  \"behaved\": {}", self.behaved());
         s.push_str("}\n");

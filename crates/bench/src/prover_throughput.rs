@@ -175,7 +175,7 @@ pub fn linear_config() -> ProverConfig {
 fn fingerprint(outcome: &Outcome) -> VerdictKey {
     (
         outcome.verdict.answer,
-        outcome.maybe_reason,
+        outcome.verdict.reason,
         outcome.proof.is_some(),
     )
 }

@@ -32,8 +32,7 @@
 use apt_axioms::{adds, AxiomSet};
 use apt_core::{
     check_proof, Answer, Budget, DepEngine, DepQuery, EngineKind, EngineSelection, MaybeReason,
-    Origin, Portfolio, PortfolioConfig, PortfolioStats, Prover, ProverConfig, ProverStats,
-    TallySink,
+    Origin, Portfolio, PortfolioConfig, PortfolioStats, ProverConfig, ProverStats, TallySink,
 };
 use apt_paths::{
     analyze_proc, analyze_program, Analysis, BatchOptions, BatchQuery, DepTable, ProgramAnalysis,
@@ -125,14 +124,20 @@ pub mod test_support {
     }
 }
 
-/// Portfolio racing options shared by the proving subcommands: the
-/// configuration (`None` leaves the axiomatic prover running alone, the
-/// pre-portfolio behavior) plus the tally sink every race reports into,
-/// so one command's queries aggregate into one set of totals.
-#[derive(Debug, Clone, Default)]
+/// Portfolio options shared by the proving subcommands: the engine
+/// roster every query runs through (the axiomatic prover alone unless
+/// `--engines` widens it) plus the tally sink every engine run reports
+/// into, so one command's queries aggregate into one set of totals.
+#[derive(Debug, Clone)]
 pub struct PortfolioOpts {
-    config: Option<PortfolioConfig>,
+    config: PortfolioConfig,
     tallies: TallySink,
+}
+
+impl Default for PortfolioOpts {
+    fn default() -> PortfolioOpts {
+        PortfolioOpts::off()
+    }
 }
 
 impl PortfolioOpts {
@@ -162,51 +167,55 @@ impl PortfolioOpts {
             })?),
             None => None,
         };
-        let config = match (engines, max_heap) {
-            (None, None) => None,
-            (sel, heap) => {
-                let mut cfg = PortfolioConfig::default();
-                if let Some(sel) = sel {
-                    cfg.engines = sel;
-                }
-                if let Some(heap) = heap {
-                    cfg.refuter_max_heap = heap;
-                }
-                Some(cfg)
-            }
+        let mut config = match (engines, max_heap) {
+            (None, None) => PortfolioConfig::axiomatic_only(),
+            _ => PortfolioConfig::default(),
         };
+        if let Some(sel) = engines {
+            config.engines = sel;
+        }
+        if let Some(heap) = max_heap {
+            config.refuter_max_heap = heap;
+        }
         Ok(PortfolioOpts {
             config,
             tallies: TallySink::new(),
         })
     }
 
-    /// Portfolio racing disabled (the default).
+    /// The axiomatic prover alone (the default).
     pub fn off() -> PortfolioOpts {
-        PortfolioOpts::default()
+        PortfolioOpts {
+            config: PortfolioConfig::axiomatic_only(),
+            tallies: TallySink::new(),
+        }
     }
 
-    /// The parsed configuration, when racing was requested.
-    pub fn config(&self) -> Option<&PortfolioConfig> {
-        self.config.as_ref()
+    /// The parsed configuration.
+    pub fn config(&self) -> &PortfolioConfig {
+        &self.config
+    }
+
+    /// Whether the roster reaches past the axiomatic prover alone. Only
+    /// then does output name the settling engine and print the
+    /// per-engine footer; the axiomatic-only output is the
+    /// pre-portfolio one.
+    fn widened(&self) -> bool {
+        self.config.engines != EngineSelection::axiomatic_only()
     }
 
     fn apply(&self, analysis: &mut Analysis) {
-        if let Some(cfg) = &self.config {
-            analysis.set_portfolio_config(cfg.clone());
-            analysis.set_portfolio_tallies(self.tallies.clone());
-        }
+        analysis.set_portfolio_config(self.config.clone());
+        analysis.set_portfolio_tallies(self.tallies.clone());
     }
 
     fn apply_program(&self, analysis: &mut ProgramAnalysis) {
-        if let Some(cfg) = &self.config {
-            analysis.set_portfolio_config(cfg.clone());
-            analysis.set_portfolio_tallies(&self.tallies);
-        }
+        analysis.set_portfolio_config(self.config.clone());
+        analysis.set_portfolio_tallies(&self.tallies);
     }
 
     fn stats(&self) -> Option<PortfolioStats> {
-        self.config.as_ref().map(|_| self.tallies.stats())
+        self.widened().then(|| self.tallies.stats())
     }
 }
 
@@ -257,33 +266,41 @@ pub fn cmd_prove(
     let mut out = String::new();
     let mut any_maybe = false;
     let _ = writeln!(out, "axioms:\n{axioms}");
-    if let Some(cfg) = &portfolio.config {
-        return prove_portfolio(
-            &axioms,
-            &a,
-            &b,
-            origin,
-            config,
-            cfg,
-            &portfolio.tallies,
-            out,
-        );
+    let widened = portfolio.widened();
+    if widened {
+        let _ = writeln!(out, "engines: {}", portfolio.config.engines);
     }
-    let mut prover = Prover::with_config(&axioms, config.clone());
-    let result = DepQuery::disjoint(&a, &b)
-        .origin(origin)
-        .run_with(&mut prover);
-    let (proof, why) = (result.proof, result.maybe_reason);
-    match proof {
-        Some(proof) => {
-            check_proof(&axioms, &proof).map_err(|e| fail(format!("internal: {e}")))?;
+    let racer = Portfolio::new(
+        DepEngine::with_config(axioms, config.clone()),
+        portfolio.config.clone(),
+    )
+    .with_tallies(&portfolio.tallies);
+    let axioms = racer.engine().axioms();
+    let outcome = racer.run(&DepQuery::disjoint(&a, &b).origin(origin));
+    match outcome.verdict.answer {
+        Answer::No => {
+            // Every engine-issued No comes from the axiomatic prover,
+            // with a proof that is re-checked before it is printed.
+            let proof = outcome
+                .proof
+                .as_ref()
+                .ok_or_else(|| fail("internal: a No without a proof"))?;
+            check_proof(axioms, proof).map_err(|e| fail(format!("internal: {e}")))?;
             let quant = match origin {
                 Origin::Same => "forall x",
                 Origin::Distinct => "forall x <> y",
             };
-            let _ = writeln!(out, "{quant}: x.{a} <> y-or-x.{b} — No dependence (PROVEN)");
+            let engine = if widened {
+                format!(", engine: {}", outcome.engine)
+            } else {
+                String::new()
+            };
+            let _ = writeln!(
+                out,
+                "{quant}: x.{a} <> y-or-x.{b} — No dependence (PROVEN{engine})"
+            );
             let _ = writeln!(out, "\n{proof}");
-            let stats = prover.stats();
+            let stats = &outcome.stats;
             let _ = writeln!(
                 out,
                 "({} goals, {} subset checks, proof of {} nodes, checked)",
@@ -297,71 +314,6 @@ pub fn cmd_prove(
                 stats.dispatch_hits, stats.dispatch_misses, stats.neg_memo_hits
             );
         }
-        None => {
-            any_maybe = true;
-            let why = why.unwrap_or(MaybeReason::GenuinelyUnknown);
-            let _ = writeln!(out, "{a} <> {b}: Maybe ({why})");
-            if why.is_degraded() {
-                let _ = writeln!(
-                    out,
-                    "(resource limit reached — retry with a larger \
-                     --fuel / --deadline-ms / --max-dfa-states)"
-                );
-            }
-        }
-    }
-    Ok(CmdOutput {
-        text: out,
-        any_maybe,
-    })
-}
-
-/// The `apt prove --engines …` path: race the selected backends and
-/// render whichever verdict settled first, with its provenance. A Yes
-/// carries the refuter's concrete witness heap, re-validated here the
-/// same way a No's proof object is re-checked.
-#[allow(clippy::too_many_arguments)]
-fn prove_portfolio(
-    axioms: &AxiomSet,
-    a: &Path,
-    b: &Path,
-    origin: Origin,
-    config: &ProverConfig,
-    cfg: &PortfolioConfig,
-    tallies: &TallySink,
-    mut out: String,
-) -> Result<CmdOutput, CliError> {
-    let engine = DepEngine::with_config(axioms.clone(), config.clone());
-    let racer = Portfolio::new(engine, cfg.clone()).with_tallies(tallies);
-    let dep = DepQuery::disjoint(a, b).origin(origin);
-    let outcome = racer.run(&dep);
-    let _ = writeln!(out, "engines: {}", cfg.engines);
-    let mut any_maybe = false;
-    match outcome.verdict.answer {
-        Answer::No => {
-            let quant = match origin {
-                Origin::Same => "forall x",
-                Origin::Distinct => "forall x <> y",
-            };
-            match &outcome.proof {
-                Some(proof) => {
-                    check_proof(axioms, proof).map_err(|e| fail(format!("internal: {e}")))?;
-                    let _ = writeln!(
-                        out,
-                        "{quant}: x.{a} <> y-or-x.{b} — No dependence (PROVEN, engine: {})",
-                        outcome.engine
-                    );
-                    let _ = writeln!(out, "\n{proof}");
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "{quant}: x.{a} <> y-or-x.{b} — No dependence (engine: {})",
-                        outcome.engine
-                    );
-                }
-            }
-        }
         Answer::Yes => {
             let _ = writeln!(
                 out,
@@ -370,7 +322,7 @@ fn prove_portfolio(
             );
             if let Some(witness) = &outcome.witness {
                 witness
-                    .validate(axioms, origin, a, b)
+                    .validate(axioms, origin, &a, &b)
                     .map_err(|e| fail(format!("internal: witness rejected: {e}")))?;
                 let _ = writeln!(out, "witness: {witness} (re-validated)");
             }
@@ -378,7 +330,8 @@ fn prove_portfolio(
         Answer::Maybe => {
             any_maybe = true;
             let why = outcome
-                .maybe_reason
+                .verdict
+                .reason
                 .unwrap_or(MaybeReason::GenuinelyUnknown);
             let _ = writeln!(out, "{a} <> {b}: Maybe ({why})");
             if why.is_degraded() {
@@ -1079,11 +1032,11 @@ USAGE:
 
 PORTFOLIO FLAGS (prove / query / report / batch / analyze; on `serve`
 they set the server's default engine roster):
-  --engines <spec>        race multiple backends per query and adopt the
-                          first definite verdict: 'all', or a comma list
-                          of axiomatic, dyck, refuter. The axiomatic
-                          prover alone is the default. dyck answers
-                          definite No without a proof object; refuter
+  --engines <spec>        race the selected engines per query and adopt
+                          the first definite verdict: 'all', or a comma
+                          list of axiomatic, refuter. The axiomatic
+                          prover alone is the default; it answers
+                          definite No with a checked proof. refuter
                           answers definite Yes with a concrete witness
                           heap (re-validated before it is believed).
   --refuter-max-heap <n>  largest candidate heap the refuter enumerates,
@@ -1316,7 +1269,7 @@ pub fn cmd_serve(
     let mut serve_config = ServeConfig::new();
     serve_config.default_budget = config.budget.clone();
     serve_config.ceiling = config.budget.clone();
-    serve_config.portfolio = portfolio.config().cloned();
+    serve_config.portfolio = portfolio.config().clone();
     if let Some(n) = usize_flag("--workers")? {
         serve_config.workers = n;
     }

@@ -11,7 +11,7 @@
 use crate::engine::{DepEngine, DepQuery, Outcome};
 use crate::goal::Origin;
 use crate::handle::{Handle, HandleRelation};
-use crate::portfolio::{EngineKind, Portfolio, PortfolioConfig, TallySink, Witness};
+use crate::portfolio::{EngineKind, Portfolio, PortfolioConfig, Witness};
 use crate::proof::Proof;
 use crate::verdict::{MaybeReason, Verdict};
 use crate::ProverConfig;
@@ -235,11 +235,9 @@ pub struct TestOutcome {
     /// definite answers.
     pub maybe: Option<MaybeReason>,
     /// The disjointness proof(s), when `reason` is
-    /// [`Reason::ProvenDisjoint`]. Two proofs appear when the handle
-    /// relation was unknown and both origin cases were discharged. A
-    /// portfolio run may discharge a case through the Dyck engine, which
-    /// proves without a proof object — `proofs` can then be shorter than
-    /// the number of cases.
+    /// [`Reason::ProvenDisjoint`]: one per origin case, so two appear
+    /// when the handle relation was unknown and both cases were
+    /// discharged.
     pub proofs: Vec<Proof>,
     /// Prover work counters.
     pub stats: crate::ProverStats,
@@ -293,16 +291,14 @@ enum TestPlan {
 
 /// The APT dependence tester over one axiom set.
 ///
-/// Backed by a [`DepEngine`], so every test run through one `DepTest`
-/// shares the engine's proof/subset/DFA caches — including across threads
-/// in [`DepTest::test_batch`].
+/// Every prover query runs through one [`Portfolio`] over a
+/// [`DepEngine`], so every test run through one `DepTest` shares the
+/// engine's proof/subset/DFA caches — including across threads in
+/// [`DepTest::test_batch`].
 #[derive(Debug, Clone)]
 pub struct DepTest {
-    engine: DepEngine,
+    portfolio: Portfolio,
     layout: FieldLayout,
-    /// When set, prover queries race through the portfolio instead of
-    /// running the axiomatic engine alone.
-    portfolio: Option<Portfolio>,
 }
 
 impl DepTest {
@@ -316,54 +312,30 @@ impl DepTest {
         DepTest::with_engine(DepEngine::with_config(axioms.clone(), config))
     }
 
-    /// Wraps an existing engine (sharing its caches with other users).
+    /// Wraps an existing engine (sharing its caches with other users),
+    /// running the axiomatic prover alone.
     pub fn with_engine(engine: DepEngine) -> DepTest {
+        DepTest::with_portfolio(Portfolio::new(engine, PortfolioConfig::axiomatic_only()))
+    }
+
+    /// A tester whose prover queries run through `portfolio` — its
+    /// roster, its engine's caches, and its tallies (share a
+    /// [`crate::TallySink`] to aggregate many short-lived testers).
+    pub fn with_portfolio(portfolio: Portfolio) -> DepTest {
         DepTest {
-            engine,
+            portfolio,
             layout: FieldLayout::new(),
-            portfolio: None,
         }
     }
 
     /// The engine backing this tester.
     pub fn engine(&self) -> &DepEngine {
-        &self.engine
+        self.portfolio.engine()
     }
 
-    /// Routes this tester's prover queries through a racing
-    /// [`Portfolio`] built over the same engine (sharing its caches).
-    #[must_use]
-    pub fn with_portfolio(mut self, config: PortfolioConfig) -> DepTest {
-        self.portfolio = Some(Portfolio::new(self.engine.clone(), config));
-        self
-    }
-
-    /// Like [`DepTest::with_portfolio`], but recording race tallies into
-    /// a caller-shared [`TallySink`] — many short-lived testers (one per
-    /// report query, one per axiom group) then aggregate into one total.
-    #[must_use]
-    pub fn with_portfolio_tallies(mut self, config: PortfolioConfig, sink: &TallySink) -> DepTest {
-        self.portfolio = Some(Portfolio::new(self.engine.clone(), config).with_tallies(sink));
-        self
-    }
-
-    /// The portfolio front-end, when one is attached.
-    pub fn portfolio(&self) -> Option<&Portfolio> {
-        self.portfolio.as_ref()
-    }
-
-    fn run_query(&self, query: &DepQuery) -> Outcome {
-        match &self.portfolio {
-            Some(p) => p.run(query),
-            None => query.run(&self.engine),
-        }
-    }
-
-    fn run_queries(&self, queries: &[DepQuery], jobs: usize) -> Vec<Outcome> {
-        match &self.portfolio {
-            Some(p) => p.run_batch(queries, jobs),
-            None => self.engine.run_batch(queries, jobs),
-        }
+    /// The portfolio every prover query runs through.
+    pub fn portfolio(&self) -> &Portfolio {
+        &self.portfolio
     }
 
     /// Attaches a byte-level [`FieldLayout`], refining the field-overlap
@@ -409,7 +381,7 @@ impl DepTest {
                 // Sequential short-circuit: a proven equality settles the
                 // test, and the first unproven disjointness case does too.
                 let planned = disjoint.len();
-                let equal_outcome = equal.map(|q| self.run_query(&q));
+                let equal_outcome = equal.map(|q| self.portfolio.run(&q));
                 if let Some(eq) = &equal_outcome {
                     if eq.verdict.answer == Answer::Yes {
                         return Self::assemble(planned, equal_outcome.as_ref(), &[]);
@@ -417,7 +389,7 @@ impl DepTest {
                 }
                 let mut disjoint_outcomes = Vec::with_capacity(planned);
                 for q in disjoint {
-                    let out = self.run_query(&q);
+                    let out = self.portfolio.run(&q);
                     // Anything but a proven-disjoint case settles the
                     // test: a Maybe leaves it unproven, a witnessed
                     // dependence answers Yes outright.
@@ -474,7 +446,7 @@ impl DepTest {
                 }
             }
         }
-        let outcomes = self.run_queries(&queries, jobs);
+        let outcomes = self.portfolio.run_batch(&queries, jobs);
         plans
             .into_iter()
             .map(|plan| match plan {
@@ -564,11 +536,10 @@ impl DepTest {
                     engine: Some(eq.engine),
                 };
             }
-            degraded = eq.maybe_reason.filter(|r| r.is_degraded());
+            degraded = eq.verdict.reason.filter(|r| r.is_degraded());
         }
-        // Cases settle on the *verdict*, not on proof presence: the Dyck
-        // engine proves disjointness without a proof object, and the
-        // refuter answers Yes with a witness heap instead.
+        // Cases settle on the *verdict*: a proven case carries its proof,
+        // and the refuter answers Yes with a witness heap instead.
         let mut proofs = Vec::new();
         let mut proven_cases = 0usize;
         let mut last_engine = None;
@@ -597,7 +568,7 @@ impl DepTest {
                 }
                 Answer::Maybe => {
                     let maybe = degraded
-                        .or(out.maybe_reason)
+                        .or(out.verdict.reason)
                         .unwrap_or(MaybeReason::GenuinelyUnknown);
                     return TestOutcome {
                         answer: Answer::Maybe,

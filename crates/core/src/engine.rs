@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use apt_axioms::{AxiomSet, CompiledAxioms};
 use apt_regex::cache::DfaCache;
-use apt_regex::{ArenaScope, FxBuildHasher, FxHashMap, Path, RegexId};
+use apt_regex::{ArenaScope, EnteredScope, FxBuildHasher, FxHashMap, Path, RegexId};
 
 use crate::config::{Budget, ProverConfig, ProverStats};
 use crate::deptest::Answer;
@@ -389,6 +389,7 @@ impl DepEngine {
             };
             self.cache.publish_goal(&entry.goal, verdict);
         }
+        let _in_scope = self.arena.enter();
         for entry in &export.subsets {
             let key = (RegexId::intern(&entry.a), RegexId::intern(&entry.b));
             self.cache.publish_subset(key, entry.holds);
@@ -565,7 +566,6 @@ impl DepQuery {
             prover.set_budget(old);
         }
         Outcome {
-            maybe_reason: verdict.reason,
             verdict,
             proof,
             stats,
@@ -610,11 +610,9 @@ pub struct Outcome {
     pub proof: Option<Proof>,
     /// Prover work counters for this query alone.
     pub stats: ProverStats,
-    /// Why the answer is Maybe (`None` for definite answers). Mirrors
-    /// `verdict.reason`.
-    pub maybe_reason: Option<MaybeReason>,
-    /// Which backend produced this outcome. [`EngineKind::Axiomatic`]
-    /// unless the query ran through a [`crate::portfolio::Portfolio`].
+    /// Which backend produced this outcome: [`EngineKind::Axiomatic`]
+    /// unless a [`crate::Portfolio`] roster reaching the refuter settled
+    /// the query.
     pub engine: EngineKind,
     /// The concrete dependence witness, when the refuter settled the
     /// query with [`Answer::Yes`].
@@ -720,8 +718,12 @@ impl DepEngine {
     }
 
     /// A worker prover wired to the shared cache, with the engine deadline
-    /// divided across `shares` sequential queries.
-    fn make_prover(&self, shares: usize) -> Prover<'_> {
+    /// divided across `shares` sequential queries. The calling thread is in
+    /// the engine's arena scope while the returned guard lives, so what the
+    /// prover interns is charged to the engine (not pinned) and reclaimed
+    /// with it.
+    pub(crate) fn make_prover(&self, shares: usize) -> (EnteredScope<'_>, Prover<'_>) {
+        let in_scope = self.arena.enter();
         let mut config = self.config.clone();
         if shares > 1 {
             if let Some(d) = config.budget.deadline {
@@ -730,12 +732,13 @@ impl DepEngine {
         }
         let mut prover = Prover::with_compiled(&self.axioms, config, Arc::clone(&self.compiled));
         prover.attach_shared(Arc::clone(&self.cache));
-        prover
+        (in_scope, prover)
     }
 
     /// Runs one query on a fresh prover backed by the shared cache.
     pub fn run(&self, query: &DepQuery) -> Outcome {
-        query.run_with(&mut self.make_prover(1))
+        let (_in_scope, mut prover) = self.make_prover(1);
+        query.run_with(&mut prover)
     }
 
     /// Runs a batch of queries over `jobs` worker threads.
@@ -744,7 +747,8 @@ impl DepEngine {
     /// override) are deduplicated and run once; every caller position in
     /// `queries` still receives its outcome, in order. Workers pull unique
     /// queries from a shared index, so an expensive query never stalls
-    /// the rest of the batch behind it.
+    /// the rest of the batch behind it; each worker runs one prover wired
+    /// to the shared cache.
     ///
     /// `jobs == 1` runs inline on the calling thread (no spawn), still
     /// with dedup and the shared cache. Batches smaller than
@@ -752,90 +756,109 @@ impl DepEngine {
     /// when more jobs are requested — for little batches the spawn and
     /// deadline-split overhead exceeds the parallel win.
     pub fn run_batch(&self, queries: &[DepQuery], jobs: usize) -> Vec<Outcome> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        // Dedup structurally identical subgoals.
-        let mut unique: Vec<&DepQuery> = Vec::new();
-        let mut owners: Vec<Vec<usize>> = Vec::new();
-        let mut index: HashMap<(QueryKind, Option<Origin>, Path, Path), Vec<usize>> =
-            HashMap::new();
-        for (i, q) in queries.iter().enumerate() {
-            let slots = index.entry(q.dedup_key()).or_default();
-            match slots.iter().find(|&&u| unique[u].budget == q.budget) {
-                Some(&u) => owners[u].push(i),
-                None => {
-                    slots.push(unique.len());
-                    owners.push(vec![i]);
-                    unique.push(q);
-                }
-            }
-        }
-        // Small batches run inline: thread spawn + deadline splitting
-        // overhead dominates until there is enough unique work to amortize
-        // it (see [`INLINE_BATCH_THRESHOLD`]).
-        let jobs = if unique.len() < INLINE_BATCH_THRESHOLD {
-            1
-        } else {
-            jobs.clamp(1, unique.len())
-        };
-        let shares = unique.len().div_ceil(jobs);
-
-        let mut settled: Vec<Option<Outcome>> = vec![None; unique.len()];
-        if jobs == 1 {
-            let mut prover = self.make_prover(shares);
-            for (slot, q) in settled.iter_mut().zip(&unique) {
-                *slot = Some(q.run_with(&mut prover));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let unique_ref = &unique;
-            let collected = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            let mut prover = self.make_prover(shares);
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::SeqCst);
-                                if i >= unique_ref.len() {
-                                    break;
-                                }
-                                out.push((i, unique_ref[i].run_with(&mut prover)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| match h.join() {
-                        Ok(v) => v,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (i, out) in collected {
-                settled[i] = Some(out);
-            }
-        }
-
-        // Scatter unique results back to every caller position.
-        let mut results: Vec<Option<Outcome>> = vec![None; queries.len()];
-        for (u, owner_list) in owners.iter().enumerate() {
-            let out = settled[u].take().expect("every unique query ran");
-            let (last, rest) = owner_list.split_last().expect("owners are non-empty");
-            for &i in rest {
-                results[i] = Some(out.clone());
-            }
-            results[*last] = Some(out);
-        }
-        results
-            .into_iter()
-            .map(|o| o.expect("every query position filled"))
-            .collect()
+        run_deduped(
+            queries,
+            jobs,
+            |shares| self.make_prover(shares),
+            |(_, prover), q| q.run_with(prover),
+        )
     }
+}
+
+/// The one dedup/fan-out loop behind every batch: [`DepEngine::run_batch`]
+/// and both stages of [`crate::Portfolio::run_batch`] (see the former
+/// for the dedup, ordering, and inline-threshold contract).
+/// `worker(shares)` builds one worker's state, `shares` being how many
+/// unique queries each worker runs in sequence; `run` answers one unique
+/// query on that state.
+pub(crate) fn run_deduped<W>(
+    queries: &[DepQuery],
+    jobs: usize,
+    worker: impl Fn(usize) -> W + Sync,
+    run: impl Fn(&mut W, &DepQuery) -> Outcome + Sync,
+) -> Vec<Outcome> {
+    if queries.is_empty() {
+        return Vec::new();
+    }
+    // Dedup structurally identical subgoals.
+    let mut unique: Vec<&DepQuery> = Vec::new();
+    let mut owners: Vec<Vec<usize>> = Vec::new();
+    let mut index: HashMap<(QueryKind, Option<Origin>, Path, Path), Vec<usize>> = HashMap::new();
+    for (i, q) in queries.iter().enumerate() {
+        let slots = index.entry(q.dedup_key()).or_default();
+        match slots.iter().find(|&&u| unique[u].budget == q.budget) {
+            Some(&u) => owners[u].push(i),
+            None => {
+                slots.push(unique.len());
+                owners.push(vec![i]);
+                unique.push(q);
+            }
+        }
+    }
+    // Small batches run inline: thread spawn + deadline splitting
+    // overhead dominates until there is enough unique work to amortize
+    // it (see [`INLINE_BATCH_THRESHOLD`]).
+    let jobs = if unique.len() < INLINE_BATCH_THRESHOLD {
+        1
+    } else {
+        jobs.clamp(1, unique.len())
+    };
+    let shares = unique.len().div_ceil(jobs);
+
+    let mut settled: Vec<Option<Outcome>> = vec![None; unique.len()];
+    if jobs == 1 {
+        let mut state = worker(shares);
+        for (slot, q) in settled.iter_mut().zip(&unique) {
+            *slot = Some(run(&mut state, q));
+        }
+    } else {
+        let next = AtomicUsize::new(0);
+        let (unique, worker, run) = (&unique, &worker, &run);
+        let collected = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs)
+                .map(|_| {
+                    scope.spawn(|_| {
+                        let mut state = worker(shares);
+                        let mut out = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::SeqCst);
+                            if i >= unique.len() {
+                                break;
+                            }
+                            out.push((i, run(&mut state, unique[i])));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| match h.join() {
+                    Ok(v) => v,
+                    Err(panic) => std::panic::resume_unwind(panic),
+                })
+                .collect::<Vec<_>>()
+        })
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        for (i, out) in collected {
+            settled[i] = Some(out);
+        }
+    }
+
+    // Scatter unique results back to every caller position.
+    let mut results: Vec<Option<Outcome>> = vec![None; queries.len()];
+    for (u, owner_list) in owners.iter().enumerate() {
+        let out = settled[u].take().expect("every unique query ran");
+        let (last, rest) = owner_list.split_last().expect("owners are non-empty");
+        for &i in rest {
+            results[i] = Some(out.clone());
+        }
+        results[*last] = Some(out);
+    }
+    results
+        .into_iter()
+        .map(|o| o.expect("every query position filled"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -860,7 +883,7 @@ mod tests {
 
         let out = DepQuery::disjoint(&p("L.L.N"), &p("L.L.N")).run(&engine);
         assert_eq!(out.verdict.answer, Answer::Maybe);
-        assert_eq!(out.maybe_reason, Some(MaybeReason::GenuinelyUnknown));
+        assert_eq!(out.verdict.reason, Some(MaybeReason::GenuinelyUnknown));
         assert!(out.proof.is_none());
     }
 

@@ -42,7 +42,6 @@
 pub mod check;
 mod config;
 mod deptest;
-pub mod dyck;
 mod engine;
 mod goal;
 mod handle;

@@ -1,37 +1,36 @@
-//! Portfolio solving: three engines racing per query.
+//! Portfolio solving: the one query executor above the engine.
 //!
-//! A production dependence test wants a *definite* answer from whichever
-//! engine gets there first. This module races up to three backends under
-//! the existing [`Budget`]/[`CancelToken`] machinery:
+//! Every dependence query — `apt prove`, `DepTest`, the whole-program
+//! analysis, every serve verb — runs through a [`Portfolio`]. Its roster
+//! decides what that costs:
 //!
 //! * **axiomatic** — the induction prover behind [`DepEngine`]; answers
-//!   `No` (disjoint, with a machine-checkable [`Proof`]) or `Yes`
-//!   (equality queries).
-//! * **dyck** — the [`crate::dyck`] CFL-reachability engine; answers `No`
-//!   for disjointness by reachability over the residual product graph.
+//!   `No` (disjoint, with a machine-checkable [`crate::Proof`]) or `Yes`
+//!   (equality queries). An axiomatic-only roster runs the engine inline
+//!   on the caller's thread and is the pre-portfolio query path.
 //! * **refuter** — the [`crate::refuter`] bounded concrete-heap search;
 //!   answers `Yes` (a definite dependence) with an attached [`Witness`]
 //!   heap that re-validates independently.
 //!
-//! The first definite verdict cancels the losers through a private race
-//! token; the caller's own token keeps working because the coordinator
-//! forwards external cancellation into the race. Engines never share
-//! mutable state: dyck and refuter hold no handle to the engine's shared
-//! proof cache, and the axiomatic prover publishes definite results only,
-//! so a cancelled backend cannot pollute anything (`cancelled ⇒ Maybe ⇒`
-//! nothing published).
+//! With both engines rostered they race: the first definite verdict
+//! cancels the loser through a private race token; the caller's own
+//! token keeps working because the coordinator forwards external
+//! cancellation into the race. Engines never share mutable state: the
+//! refuter holds no handle to the engine's shared proof cache, and the
+//! axiomatic prover publishes definite results only, so a cancelled
+//! backend cannot pollute anything (`cancelled ⇒ Maybe ⇒` nothing
+//! published).
 //!
-//! Soundness across engines is compositional, not coordinated: axiomatic
-//! `No` carries a checkable proof; dyck `No` is a proof over a *superset*
-//! of the axiom models; refuter `Yes` carries a concrete heap checked by
-//! [`apt_axioms::check_set`] plus path re-execution. Definite verdicts
-//! therefore can never disagree unless an engine is unsound — debug
-//! builds assert it.
+//! Every definite verdict carries a certificate: an engine-issued `No`
+//! comes from the axiomatic prover with a checkable proof, and a refuter
+//! `Yes` carries a concrete heap checked by [`apt_axioms::check_set`]
+//! plus path re-execution. The two certificates exclude each other, so
+//! definite verdicts can never disagree unless an engine is unsound —
+//! debug builds assert it.
 
 use crate::config::{Budget, CancelToken, ProverStats};
 use crate::deptest::Answer;
-use crate::dyck;
-use crate::engine::{DepEngine, DepQuery, Outcome, QueryKind};
+use crate::engine::{run_deduped, DepEngine, DepQuery, Outcome, QueryKind};
 use crate::goal::Origin;
 use crate::refuter::{self, RefuterConfig, RefuterOutcome};
 use crate::verdict::{MaybeReason, SearchLimit, Verdict};
@@ -50,22 +49,19 @@ use std::time::Duration;
 pub enum EngineKind {
     /// The axiomatic induction prover (the default, proof-carrying path).
     Axiomatic,
-    /// The Dyck/CFL-reachability engine.
-    Dyck,
     /// The bounded concrete-heap refuter.
     Refuter,
 }
 
 impl EngineKind {
     /// All engines, in reporting order.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Axiomatic, EngineKind::Dyck, EngineKind::Refuter];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Axiomatic, EngineKind::Refuter];
 
     /// Stable wire/persistence code; round-trips through
     /// [`EngineKind::from_code`].
     pub fn code(&self) -> &'static str {
         match self {
             EngineKind::Axiomatic => "axiomatic",
-            EngineKind::Dyck => "dyck",
             EngineKind::Refuter => "refuter",
         }
     }
@@ -74,10 +70,17 @@ impl EngineKind {
     pub fn from_code(code: &str) -> Option<EngineKind> {
         Some(match code {
             "axiomatic" => EngineKind::Axiomatic,
-            "dyck" => EngineKind::Dyck,
             "refuter" => EngineKind::Refuter,
             _ => return None,
         })
+    }
+
+    /// Slot of this engine in the tally counters.
+    fn index(self) -> usize {
+        match self {
+            EngineKind::Axiomatic => 0,
+            EngineKind::Refuter => 1,
+        }
     }
 }
 
@@ -92,8 +95,6 @@ impl fmt::Display for EngineKind {
 pub struct EngineSelection {
     /// Run the axiomatic prover.
     pub axiomatic: bool,
-    /// Run the Dyck-reachability engine.
-    pub dyck: bool,
     /// Run the bounded-heap refuter.
     pub refuter: bool,
 }
@@ -103,7 +104,6 @@ impl EngineSelection {
     pub fn all() -> EngineSelection {
         EngineSelection {
             axiomatic: true,
-            dyck: true,
             refuter: true,
         }
     }
@@ -112,36 +112,33 @@ impl EngineSelection {
     pub fn axiomatic_only() -> EngineSelection {
         EngineSelection {
             axiomatic: true,
-            dyck: false,
             refuter: false,
         }
     }
 
     /// Parses a `--engines` spec: `all`, or a comma-separated subset of
-    /// `axiomatic`, `dyck`, `refuter`.
+    /// `axiomatic`, `refuter`.
     pub fn parse(spec: &str) -> Result<EngineSelection, String> {
         if spec.trim() == "all" {
             return Ok(EngineSelection::all());
         }
         let mut sel = EngineSelection {
             axiomatic: false,
-            dyck: false,
             refuter: false,
         };
         for part in spec.split(',') {
             match part.trim() {
                 "axiomatic" => sel.axiomatic = true,
-                "dyck" => sel.dyck = true,
                 "refuter" => sel.refuter = true,
                 "" => {}
                 other => {
                     return Err(format!(
-                        "unknown engine '{other}' (expected all, axiomatic, dyck, refuter)"
+                        "unknown engine '{other}' (expected all, axiomatic, refuter)"
                     ))
                 }
             }
         }
-        if !(sel.axiomatic || sel.dyck || sel.refuter) {
+        if sel.count() == 0 {
             return Err("no engines selected".to_string());
         }
         Ok(sel)
@@ -151,14 +148,13 @@ impl EngineSelection {
     pub fn contains(&self, kind: EngineKind) -> bool {
         match kind {
             EngineKind::Axiomatic => self.axiomatic,
-            EngineKind::Dyck => self.dyck,
             EngineKind::Refuter => self.refuter,
         }
     }
 
     /// Number of selected engines.
     pub fn count(&self) -> usize {
-        usize::from(self.axiomatic) + usize::from(self.dyck) + usize::from(self.refuter)
+        usize::from(self.axiomatic) + usize::from(self.refuter)
     }
 }
 
@@ -188,16 +184,25 @@ pub struct PortfolioConfig {
     pub engines: EngineSelection,
     /// Largest refuter candidate heap, in nodes (`--refuter-max-heap`).
     pub refuter_max_heap: usize,
-    /// Product-graph vertex cap for the Dyck engine.
-    pub dyck_state_cap: usize,
+}
+
+impl PortfolioConfig {
+    /// The axiomatic prover alone, with stock refuter tuning for any
+    /// selection that later widens the roster.
+    pub fn axiomatic_only() -> PortfolioConfig {
+        PortfolioConfig {
+            engines: EngineSelection::axiomatic_only(),
+            ..PortfolioConfig::default()
+        }
+    }
 }
 
 impl Default for PortfolioConfig {
+    /// Every engine.
     fn default() -> Self {
         PortfolioConfig {
             engines: EngineSelection::all(),
             refuter_max_heap: RefuterConfig::default().max_heap_nodes,
-            dyck_state_cap: dyck::DEFAULT_STATE_CAP,
         }
     }
 }
@@ -403,14 +408,15 @@ impl fmt::Display for Witness {
     }
 }
 
-/// Cumulative per-engine race accounting for one engine.
+/// Cumulative accounting for one engine: every run counts once, as a
+/// win or a loss.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineTally {
-    /// Queries this engine settled (its definite verdict was adopted).
+    /// Runs whose definite verdict was adopted.
     pub wins: u64,
-    /// Races this engine ran in but did not settle.
+    /// Runs that ended without settling their query.
     pub losses: u64,
-    /// Runs that ended cancelled (almost always: a rival won first).
+    /// Losses that ended cancelled (almost always: a rival won first).
     pub cancelled: u64,
 }
 
@@ -419,7 +425,8 @@ pub struct EngineTally {
 pub struct PortfolioStats {
     /// Axiomatic-prover tallies.
     pub axiomatic: EngineTally,
-    /// Dyck-engine tallies.
+    /// Always zero: the Dyck engine this slot counted was retired. The
+    /// field stays so existing readers of the struct keep compiling.
     pub dyck: EngineTally,
     /// Refuter tallies.
     pub refuter: EngineTally,
@@ -432,7 +439,6 @@ impl PortfolioStats {
     pub fn tally(&self, kind: EngineKind) -> EngineTally {
         match kind {
             EngineKind::Axiomatic => self.axiomatic,
-            EngineKind::Dyck => self.dyck,
             EngineKind::Refuter => self.refuter,
         }
     }
@@ -441,7 +447,6 @@ impl PortfolioStats {
     pub fn merge(&mut self, other: &PortfolioStats) {
         for (mine, theirs) in [
             (&mut self.axiomatic, other.axiomatic),
-            (&mut self.dyck, other.dyck),
             (&mut self.refuter, other.refuter),
         ] {
             mine.wins += theirs.wins;
@@ -454,9 +459,9 @@ impl PortfolioStats {
 
 #[derive(Default)]
 struct Counters {
-    wins: [AtomicU64; 3],
-    losses: [AtomicU64; 3],
-    cancelled: [AtomicU64; 3],
+    wins: [AtomicU64; 2],
+    losses: [AtomicU64; 2],
+    cancelled: [AtomicU64; 2],
     witnesses: AtomicU64,
 }
 
@@ -477,15 +482,18 @@ impl TallySink {
 
     /// A snapshot of the tallies recorded so far.
     pub fn stats(&self) -> PortfolioStats {
-        let tally = |i: usize| EngineTally {
-            wins: self.counters.wins[i].load(Ordering::Relaxed),
-            losses: self.counters.losses[i].load(Ordering::Relaxed),
-            cancelled: self.counters.cancelled[i].load(Ordering::Relaxed),
+        let tally = |kind: EngineKind| {
+            let i = kind.index();
+            EngineTally {
+                wins: self.counters.wins[i].load(Ordering::Relaxed),
+                losses: self.counters.losses[i].load(Ordering::Relaxed),
+                cancelled: self.counters.cancelled[i].load(Ordering::Relaxed),
+            }
         };
         PortfolioStats {
-            axiomatic: tally(0),
-            dyck: tally(1),
-            refuter: tally(2),
+            axiomatic: tally(EngineKind::Axiomatic),
+            dyck: EngineTally::default(),
+            refuter: tally(EngineKind::Refuter),
             witnesses: self.counters.witnesses.load(Ordering::Relaxed),
         }
     }
@@ -499,19 +507,12 @@ impl fmt::Debug for TallySink {
     }
 }
 
-fn engine_index(kind: EngineKind) -> usize {
-    match kind {
-        EngineKind::Axiomatic => 0,
-        EngineKind::Dyck => 1,
-        EngineKind::Refuter => 2,
-    }
-}
-
 /// How often the race coordinator polls the caller's own cancel token
 /// while waiting on engine results.
 const COORDINATOR_POLL: Duration = Duration::from_millis(5);
 
-/// The racing front-end over a [`DepEngine`].
+/// The query executor over a [`DepEngine`]: runs each query on its
+/// roster's engines and tallies every engine run.
 ///
 /// Cloning shares the underlying engine caches *and* the portfolio
 /// tallies.
@@ -542,7 +543,7 @@ impl Portfolio {
         &self.config
     }
 
-    /// Builder: record race tallies into `sink` (shared with other
+    /// Builder: record engine tallies into `sink` (shared with other
     /// portfolios and with the caller) instead of this portfolio's
     /// private counters.
     #[must_use]
@@ -564,73 +565,45 @@ impl Portfolio {
     }
 
     /// Engines that can actually run `kind`: equality queries are the
-    /// axiomatic prover's alone (dyck and the refuter decide
-    /// disjointness), and a selection without any engine for the kind
-    /// falls back to the axiomatic prover rather than answering nothing.
-    fn roster(&self, kind: QueryKind) -> Vec<EngineKind> {
+    /// axiomatic prover's alone (the refuter decides disjointness), and
+    /// a selection without any engine falls back to the axiomatic prover
+    /// rather than answering nothing.
+    fn roster(&self, kind: QueryKind) -> EngineSelection {
         let sel = self.config.engines;
-        let mut roster = Vec::new();
-        match kind {
-            QueryKind::Equal => roster.push(EngineKind::Axiomatic),
-            QueryKind::Disjoint => {
-                for engine in EngineKind::ALL {
-                    if sel.contains(engine) {
-                        roster.push(engine);
-                    }
-                }
-                if roster.is_empty() {
-                    roster.push(EngineKind::Axiomatic);
-                }
-            }
+        if kind == QueryKind::Equal || sel.count() == 0 {
+            EngineSelection::axiomatic_only()
+        } else {
+            sel
         }
-        roster
     }
 
-    /// The budget a race participant runs under: the query override or
-    /// the engine default, with the cancel token swapped for `race`.
-    fn raced_budget(&self, query: &DepQuery, race: &CancelToken) -> Budget {
-        let mut budget = query
+    /// The budget `query` runs under: its override, else the engine's.
+    fn budget<'a>(&'a self, query: &'a DepQuery) -> &'a Budget {
+        query
             .budget_override()
-            .cloned()
-            .unwrap_or_else(|| self.engine.config().budget.clone());
-        budget.cancel = Some(race.clone());
-        budget
+            .unwrap_or(&self.engine.config().budget)
     }
 
-    fn run_engine(&self, kind: EngineKind, query: &DepQuery, budget: &Budget) -> Outcome {
-        match kind {
-            EngineKind::Axiomatic => query.clone().with_budget(budget.clone()).run(&self.engine),
-            EngineKind::Dyck => {
-                let result = dyck::decide(
-                    self.engine.axioms(),
-                    query.origin_relation(),
-                    query.a(),
-                    query.b(),
-                    budget,
-                    self.config.dyck_state_cap,
-                );
-                let verdict = if result.proved {
-                    Verdict::definite(Answer::No)
-                } else {
-                    Verdict::maybe(result.reason.unwrap_or(MaybeReason::GenuinelyUnknown))
-                };
-                let mut stats = ProverStats {
-                    subset_checks: result.subset_checks,
-                    ..ProverStats::default()
-                };
-                if let Some(reason) = verdict.reason {
-                    stats.cutoffs.record(reason);
-                }
-                Outcome {
-                    maybe_reason: verdict.reason,
-                    verdict,
-                    proof: None,
-                    stats,
-                    engine: EngineKind::Dyck,
-                    witness: None,
-                }
+    /// Runs one engine on `query`. Inside a race, `race` replaces the
+    /// budget's cancel token; outside one the query runs under its own
+    /// budget, untouched.
+    fn run_engine(
+        &self,
+        kind: EngineKind,
+        query: &DepQuery,
+        race: Option<&CancelToken>,
+    ) -> Outcome {
+        let raced = race.map(|token| {
+            let mut budget = self.budget(query).clone();
+            budget.cancel = Some(token.clone());
+            budget
+        });
+        match (kind, raced) {
+            (EngineKind::Axiomatic, None) => self.engine.run(query),
+            (EngineKind::Axiomatic, Some(budget)) => {
+                self.engine.run(&query.clone().with_budget(budget))
             }
-            EngineKind::Refuter => {
+            (EngineKind::Refuter, raced) => {
                 let config = RefuterConfig {
                     max_heap_nodes: self.config.refuter_max_heap,
                     ..RefuterConfig::default()
@@ -640,7 +613,7 @@ impl Portfolio {
                     query.origin_relation(),
                     query.a(),
                     query.b(),
-                    budget,
+                    raced.as_ref().unwrap_or_else(|| self.budget(query)),
                     &config,
                 );
                 let (verdict, witness) = match outcome {
@@ -656,7 +629,6 @@ impl Portfolio {
                     stats.cutoffs.record(reason);
                 }
                 Outcome {
-                    maybe_reason: verdict.reason,
                     verdict,
                     proof: None,
                     stats,
@@ -667,38 +639,41 @@ impl Portfolio {
         }
     }
 
-    fn tally(&self, winner: Option<EngineKind>, results: &[(EngineKind, Outcome)]) {
-        for (kind, outcome) in results {
-            let i = engine_index(*kind);
-            if Some(*kind) == winner {
-                self.counters.wins[i].fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.counters.losses[i].fetch_add(1, Ordering::Relaxed);
-                if outcome.maybe_reason == Some(MaybeReason::Cancelled) {
-                    self.counters.cancelled[i].fetch_add(1, Ordering::Relaxed);
-                }
+    /// Tallies one engine run.
+    fn record(&self, kind: EngineKind, won: bool, outcome: &Outcome) {
+        let i = kind.index();
+        if won {
+            self.counters.wins[i].fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.counters.losses[i].fetch_add(1, Ordering::Relaxed);
+            if outcome.verdict.reason == Some(MaybeReason::Cancelled) {
+                self.counters.cancelled[i].fetch_add(1, Ordering::Relaxed);
             }
-            if outcome.witness.is_some() {
-                self.counters.witnesses.fetch_add(1, Ordering::Relaxed);
-            }
+        }
+        if outcome.witness.is_some() {
+            self.counters.witnesses.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Runs one query through the portfolio: all rostered engines race,
-    /// the first definite verdict wins and cancels the rest.
+    /// Runs one engine alone, inline, under the query's own budget.
+    fn run_alone(&self, kind: EngineKind, query: &DepQuery) -> Outcome {
+        let outcome = self.run_engine(kind, query, None);
+        self.record(kind, outcome.is_definite(), &outcome);
+        outcome
+    }
+
+    /// Runs one query: a one-engine roster runs inline on the calling
+    /// thread; otherwise the rostered engines race, and the first
+    /// definite verdict wins and cancels the rest.
     pub fn run(&self, query: &DepQuery) -> Outcome {
         let roster = self.roster(query.kind());
-        if roster.len() == 1 {
-            // Nothing to race: run inline under the caller's own budget.
-            let kind = roster[0];
-            let budget = query
-                .budget_override()
-                .cloned()
-                .unwrap_or_else(|| self.engine.config().budget.clone());
-            let outcome = self.run_engine(kind, query, &budget);
-            let winner = outcome.is_definite().then_some(kind);
-            self.tally(winner, std::slice::from_ref(&(kind, outcome.clone())));
-            return outcome;
+        if roster.count() == 1 {
+            let kind = if roster.axiomatic {
+                EngineKind::Axiomatic
+            } else {
+                EngineKind::Refuter
+            };
+            return self.run_alone(kind, query);
         }
 
         let race = CancelToken::new();
@@ -706,15 +681,14 @@ impl Portfolio {
             .budget_override()
             .and_then(|b| b.cancel.clone())
             .or_else(|| self.engine.config().budget.cancel.clone());
-        let budget = self.raced_budget(query, &race);
         let (tx, rx) = mpsc::channel::<(EngineKind, Outcome)>();
 
-        let results: Vec<(EngineKind, Outcome)> = crossbeam::thread::scope(|scope| {
-            for &kind in &roster {
+        let mut results: Vec<(EngineKind, Outcome)> = crossbeam::thread::scope(|scope| {
+            for kind in EngineKind::ALL.into_iter().filter(|&k| roster.contains(k)) {
                 let tx = tx.clone();
-                let budget = budget.clone();
+                let race = &race;
                 scope.spawn(move |_| {
-                    let outcome = self.run_engine(kind, query, &budget);
+                    let outcome = self.run_engine(kind, query, Some(race));
                     // A closed channel means the coordinator already
                     // returned; the result is moot.
                     let _ = tx.send((kind, outcome));
@@ -722,9 +696,9 @@ impl Portfolio {
             }
             drop(tx);
 
-            let mut collected: Vec<(EngineKind, Outcome)> = Vec::with_capacity(roster.len());
+            let mut collected: Vec<(EngineKind, Outcome)> = Vec::with_capacity(roster.count());
             let mut settled = false;
-            while collected.len() < roster.len() {
+            while collected.len() < roster.count() {
                 match rx.recv_timeout(COORDINATOR_POLL) {
                     Ok((kind, outcome)) => {
                         if !settled && outcome.is_definite() {
@@ -761,6 +735,9 @@ impl Portfolio {
             },
             "definite verdicts disagree across engines: {results:?}"
         );
+        for (i, (kind, outcome)) in results.iter().enumerate() {
+            self.record(*kind, Some(i) == winner_pos, outcome);
+        }
         let pos = winner_pos
             .or_else(|| {
                 results
@@ -768,94 +745,57 @@ impl Portfolio {
                     .position(|(kind, _)| *kind == EngineKind::Axiomatic)
             })
             .unwrap_or(0);
-        let winner = winner_pos.map(|p| results[p].0);
-        self.tally(winner, &results);
-
-        let mut adopted = results[pos].1.clone();
+        let (_, mut adopted) = results.swap_remove(pos);
         // Account the losers' work in the adopted outcome so batch-level
         // stats reflect what the race actually cost.
-        for (i, (_, outcome)) in results.iter().enumerate() {
-            if i != pos {
-                adopted.stats.merge(&outcome.stats);
-            }
+        for (_, outcome) in &results {
+            adopted.stats.merge(&outcome.stats);
         }
         adopted
     }
 
-    /// Runs a batch, staged: the axiomatic engine (when selected) first
-    /// answers everything through the deduplicated, cache-shared
-    /// [`DepEngine::run_batch`]; the other engines then race only the
-    /// queries left `Maybe`. On large batches this costs far fewer
-    /// threads than a three-way race per query, and the axiomatic pass
-    /// warms the shared cache exactly as an axiomatic-only run would.
+    /// Runs a batch, staged, through the engine's one dedup/fan-out
+    /// loop: the axiomatic engine (when selected) first answers every
+    /// unique query on cache-shared worker provers, exactly as an
+    /// axiomatic-only run would; the refuter then runs only on the
+    /// unique disjointness queries left `Maybe`. Each engine run is
+    /// tallied once, however many batch positions share it.
     pub fn run_batch(&self, queries: &[DepQuery], jobs: usize) -> Vec<Outcome> {
         let sel = self.config.engines;
-        let sub = PortfolioConfig {
-            engines: EngineSelection {
-                axiomatic: false,
-                ..sel
-            },
-            ..self.config.clone()
-        };
         if !sel.axiomatic {
-            // No axiomatic stage: race the reduced roster per query.
-            let racer = Portfolio {
-                engine: self.engine.clone(),
-                config: sub,
-                counters: Arc::clone(&self.counters),
-            };
-            return run_queries_parallel(&racer, queries, jobs);
+            return run_deduped(queries, jobs, |_| (), |(), q| self.run(q));
         }
-
-        let mut outcomes = self.engine.run_batch(queries, jobs);
-        let followups: Vec<usize> = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(i, o)| {
-                !o.is_definite()
-                    && queries[*i].kind() == QueryKind::Disjoint
-                    && (sel.dyck || sel.refuter)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if followups.is_empty() {
-            for o in &outcomes {
-                let i = engine_index(EngineKind::Axiomatic);
-                if o.is_definite() {
-                    self.counters.wins[i].fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.counters.losses[i].fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        let mut outcomes = run_deduped(
+            queries,
+            jobs,
+            |shares| self.engine.make_prover(shares),
+            |(_, prover), q| {
+                let outcome = q.run_with(prover);
+                self.record(EngineKind::Axiomatic, outcome.is_definite(), &outcome);
+                outcome
+            },
+        );
+        if !sel.refuter {
             return outcomes;
         }
-
-        let racer = Portfolio {
-            engine: self.engine.clone(),
-            config: sub,
-            counters: Arc::clone(&self.counters),
-        };
-        let followup_queries: Vec<DepQuery> =
-            followups.iter().map(|&i| queries[i].clone()).collect();
-        let raced = run_queries_parallel(&racer, &followup_queries, jobs);
-        let ax = engine_index(EngineKind::Axiomatic);
-        for (slot, mut outcome) in followups.into_iter().zip(raced) {
+        let followups: Vec<usize> = (0..queries.len())
+            .filter(|&i| !outcomes[i].is_definite() && queries[i].kind() == QueryKind::Disjoint)
+            .collect();
+        let asked: Vec<DepQuery> = followups.iter().map(|&i| queries[i].clone()).collect();
+        let refuted = run_deduped(
+            &asked,
+            jobs,
+            |_| (),
+            |(), q| self.run_alone(EngineKind::Refuter, q),
+        );
+        for (slot, mut outcome) in followups.into_iter().zip(refuted) {
             if outcome.is_definite() {
-                // The axiomatic stage already gave this one up.
-                self.counters.losses[ax].fetch_add(1, Ordering::Relaxed);
                 outcome.stats.merge(&outcomes[slot].stats);
                 outcomes[slot] = outcome;
             } else {
                 // Keep the axiomatic outcome (richer pedigree), but
                 // account the follow-up work.
-                self.counters.losses[ax].fetch_add(1, Ordering::Relaxed);
                 outcomes[slot].stats.merge(&outcome.stats);
-            }
-        }
-        for (i, o) in outcomes.iter().enumerate() {
-            if o.is_definite() && o.engine == EngineKind::Axiomatic {
-                let _ = i;
-                self.counters.wins[ax].fetch_add(1, Ordering::Relaxed);
             }
         }
         outcomes
@@ -869,42 +809,6 @@ impl fmt::Debug for Portfolio {
             .field("stats", &self.stats())
             .finish()
     }
-}
-
-/// Runs `queries` through `portfolio.run` across up to `jobs` worker
-/// threads (work-stealing by atomic index, like the engine's own batch).
-fn run_queries_parallel(portfolio: &Portfolio, queries: &[DepQuery], jobs: usize) -> Vec<Outcome> {
-    use std::sync::atomic::AtomicUsize;
-    let jobs = jobs.clamp(1, queries.len().max(1));
-    if jobs == 1 || queries.len() <= 1 {
-        return queries.iter().map(|q| portfolio.run(q)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Outcome>>> = queries
-        .iter()
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let outcome = portfolio.run(&queries[i]);
-                *slots[i].lock().expect("portfolio slot poisoned") = Some(outcome);
-            });
-        }
-    })
-    .expect("portfolio batch thread panicked");
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("portfolio slot poisoned")
-                .expect("portfolio slot unfilled")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -929,12 +833,21 @@ mod tests {
             EngineSelection::parse("all").unwrap(),
             EngineSelection::all()
         );
-        let sel = EngineSelection::parse("dyck,refuter").unwrap();
-        assert!(!sel.axiomatic && sel.dyck && sel.refuter);
-        assert_eq!(sel.to_string(), "dyck,refuter");
+        let sel = EngineSelection::parse("refuter").unwrap();
+        assert!(!sel.axiomatic && sel.refuter);
+        assert_eq!(sel.to_string(), "refuter");
+        assert_eq!(
+            EngineSelection::parse("refuter, axiomatic").unwrap(),
+            EngineSelection::all()
+        );
         assert_eq!(EngineSelection::all().to_string(), "all");
+        assert_eq!(EngineSelection::axiomatic_only().to_string(), "axiomatic");
         assert!(EngineSelection::parse("frobnicate").is_err());
         assert!(EngineSelection::parse("").is_err());
+        // The retired Dyck engine is an unknown name like any other, and
+        // the error lists what is left.
+        let err = EngineSelection::parse("dyck").unwrap_err();
+        assert!(err.contains("expected all, axiomatic, refuter"), "{err}");
     }
 
     #[test]
@@ -1002,13 +915,14 @@ mod tests {
     #[test]
     fn race_adopts_a_definite_verdict() {
         let portfolio = portfolio();
-        // Provable disjointness: axiomatic and dyck both prove it; the
-        // refuter exhausts. Whoever wins, the verdict must be No.
+        // Provable disjointness: the axiomatic prover proves it; the
+        // refuter cannot find a collision. The verdict must be No.
         let q = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N")).origin(Origin::Same);
         let out = portfolio.run(&q);
         assert_eq!(out.verdict.answer, Answer::No);
         assert!(out.is_definite());
-        assert_ne!(out.engine, EngineKind::Refuter);
+        assert_eq!(out.engine, EngineKind::Axiomatic);
+        assert!(out.proof.is_some(), "an engine-issued No carries a proof");
     }
 
     #[test]
@@ -1065,9 +979,9 @@ mod tests {
 
     #[test]
     fn first_definite_cancels_losers_within_bounded_delay() {
-        // A refuter cap of 24 nodes makes exhaustive search astronomically
-        // long; the only way this run returns promptly is the axiomatic
-        // winner cancelling the refuter mid-search.
+        // Starred paths under a refuter cap of 24 nodes give the refuter
+        // hundreds of candidate heaps to model-check; the axiomatic
+        // winner, done in milliseconds, must cancel it mid-search.
         let portfolio = Portfolio::new(
             DepEngine::new(leaf_linked_tree_axioms()),
             PortfolioConfig {
@@ -1075,7 +989,7 @@ mod tests {
                 ..PortfolioConfig::default()
             },
         );
-        let q = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N")).origin(Origin::Same);
+        let q = DepQuery::disjoint(&p("L.L*"), &p("R.R*")).origin(Origin::Same);
         let started = std::time::Instant::now();
         let out = portfolio.run(&q);
         assert!(
@@ -1102,7 +1016,7 @@ mod tests {
             .origin(Origin::Same)
             .with_budget(budget);
         let out = engine.run(&q);
-        assert_eq!(out.maybe_reason, Some(MaybeReason::Cancelled));
+        assert_eq!(out.verdict.reason, Some(MaybeReason::Cancelled));
         let cache = engine.cache_stats();
         assert_eq!(
             (cache.proved_goals, cache.failed_goals),
@@ -1129,7 +1043,6 @@ mod tests {
                     PortfolioConfig {
                         engines: EngineSelection {
                             axiomatic: kind == EngineKind::Axiomatic,
-                            dyck: kind == EngineKind::Dyck,
                             refuter: kind == EngineKind::Refuter,
                         },
                         ..PortfolioConfig::default()
@@ -1156,8 +1069,87 @@ mod tests {
             .iter()
             .map(|&k| stats.tally(k).wins + stats.tally(k).losses)
             .sum();
-        assert_eq!(total, 3, "all three engines must be accounted: {stats:?}");
+        assert_eq!(total, 2, "both engines must be accounted: {stats:?}");
         let wins: u64 = EngineKind::ALL.iter().map(|&k| stats.tally(k).wins).sum();
         assert_eq!(wins, 1, "exactly one winner: {stats:?}");
+        assert_eq!(
+            stats.dyck,
+            EngineTally::default(),
+            "the retired slot stays zero"
+        );
+    }
+
+    #[test]
+    fn batches_tally_each_engine_run_once() {
+        let portfolio = portfolio();
+        let overlap = DepQuery::disjoint(&p("L.L.N"), &p("L.L.N"));
+        let queries = vec![
+            overlap.clone(),
+            overlap,
+            // No equality axioms: L and R are never proved equal.
+            DepQuery::equal(&p("L"), &p("R")),
+        ];
+        let outs = portfolio.run_batch(&queries, 2);
+        assert_eq!(outs[0].verdict.answer, Answer::Yes);
+        assert_eq!(outs[1].verdict.answer, Answer::Yes);
+        assert_eq!(outs[2].verdict.answer, Answer::Maybe);
+        let stats = portfolio.stats();
+        assert_eq!(
+            stats.refuter.wins + stats.refuter.losses,
+            1,
+            "the duplicated Maybe is refuted once: {stats:?}"
+        );
+        assert_eq!(
+            stats.axiomatic.wins + stats.axiomatic.losses,
+            2,
+            "one axiomatic run per unique query: {stats:?}"
+        );
+        assert_eq!(stats.axiomatic.losses, 2, "{stats:?}");
+        assert_eq!(stats.witnesses, 1, "{stats:?}");
+
+        // Without the duplicate, the unsettled equality query must still
+        // count: a disjoint follow-up does not hide it.
+        let portfolio = self::portfolio();
+        let _ = portfolio.run_batch(&queries[1..], 2);
+        let stats = portfolio.stats();
+        assert_eq!(
+            stats.axiomatic.wins + stats.axiomatic.losses,
+            2,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn one_engine_rosters_run_inline_under_the_callers_budget() {
+        let solo = || {
+            Portfolio::new(
+                DepEngine::new(leaf_linked_tree_axioms()),
+                PortfolioConfig::axiomatic_only(),
+            )
+        };
+        let engine = || DepEngine::new(leaf_linked_tree_axioms());
+        let q = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N"));
+        let warm = solo();
+        let out = warm.run(&q);
+        let alone = engine().run(&q);
+        assert_eq!(out.verdict, alone.verdict);
+        assert_eq!(
+            out.proof.map(|p| p.to_string()),
+            alone.proof.map(|p| p.to_string())
+        );
+        assert_eq!(out.stats, alone.stats);
+        // A starved override degrades the inline run exactly as it
+        // degrades the engine.
+        let starved = q.clone().with_budget(Budget::new().with_fuel(1));
+        let cold = solo();
+        let out = cold.run(&starved);
+        assert!(out.verdict.is_degraded(), "{:?}", out.verdict);
+        assert_eq!(out.verdict, engine().run(&starved).verdict);
+        for (portfolio, won) in [(warm, true), (cold, false)] {
+            let stats = portfolio.stats();
+            let expected = (u64::from(won), u64::from(!won));
+            assert_eq!((stats.axiomatic.wins, stats.axiomatic.losses), expected);
+            assert_eq!(stats.refuter, EngineTally::default());
+        }
     }
 }

@@ -13,8 +13,8 @@
 use crate::apm::Apm;
 use apt_axioms::AxiomSet;
 use apt_core::{
-    AccessPath, Answer, CacheStats, DepEngine, DepTest, Handle, HandleRelation, MemRef,
-    PortfolioConfig, PortfolioStats, ProverConfig, TallySink, TestOutcome,
+    AccessPath, Answer, CacheStats, DepEngine, DepTest, Handle, HandleRelation, MemRef, Portfolio,
+    PortfolioConfig, ProverConfig, TallySink, TestOutcome,
 };
 use apt_ir::{Block, Program, Stmt, StmtKind};
 use apt_regex::{Component, Path, Symbol};
@@ -172,10 +172,10 @@ pub struct Analysis {
     exit: Apm,
     axioms: AxiomSet,
     config: ProverConfig,
-    /// When set, queries race the configured engine portfolio instead of
-    /// running the axiomatic prover alone.
-    portfolio: Option<PortfolioConfig>,
-    /// Race tallies, shared across every tester this analysis spawns
+    /// The engine roster every query runs through (the axiomatic prover
+    /// alone unless widened).
+    portfolio: PortfolioConfig,
+    /// Engine tallies, shared across every tester this analysis spawns
     /// (clones of the analysis share it too, so panic-isolated report
     /// queries still aggregate here).
     tallies: TallySink,
@@ -218,7 +218,7 @@ pub fn analyze_proc(program: &Program, proc_name: &str) -> Result<Analysis, Quer
         exit: apm,
         axioms: program.all_axioms(),
         config: ProverConfig::default(),
-        portfolio: None,
+        portfolio: PortfolioConfig::axiomatic_only(),
         tallies: TallySink::new(),
     })
 }
@@ -573,47 +573,38 @@ impl Analysis {
         &self.config
     }
 
-    /// Routes all subsequent queries through a racing engine portfolio
-    /// (axiomatic prover, Dyck reachability, concrete-heap refuter).
+    /// Sets the engine roster all subsequent queries run through
+    /// (axiomatic prover, concrete-heap refuter).
     pub fn set_portfolio_config(&mut self, config: PortfolioConfig) {
-        self.portfolio = Some(config);
+        self.portfolio = config;
     }
 
     /// Builder form of [`Analysis::set_portfolio_config`].
     #[must_use]
     pub fn with_portfolio_config(mut self, config: PortfolioConfig) -> Analysis {
-        self.portfolio = Some(config);
+        self.portfolio = config;
         self
     }
 
-    /// The portfolio configuration, when portfolio racing is enabled.
-    pub fn portfolio_config(&self) -> Option<&PortfolioConfig> {
-        self.portfolio.as_ref()
+    /// The engine roster queries run through.
+    pub fn portfolio_config(&self) -> &PortfolioConfig {
+        &self.portfolio
     }
 
-    /// Records this analysis's race tallies into a caller-shared sink
+    /// Records this analysis's engine tallies into a caller-shared sink
     /// (clones of a [`TallySink`] share counters), e.g. the serve
     /// daemon's server-wide totals.
     pub fn set_portfolio_tallies(&mut self, sink: TallySink) {
         self.tallies = sink;
     }
 
-    /// Cumulative per-engine race tallies across every query this
-    /// analysis (and its clones) has run. `None` unless portfolio racing
-    /// is enabled.
-    pub fn portfolio_stats(&self) -> Option<PortfolioStats> {
-        self.portfolio.as_ref().map(|_| self.tallies.stats())
-    }
-
-    /// A tester over `axioms`, routed through the portfolio when one is
-    /// configured. Shared-tally: every tester reports into
-    /// [`Analysis::portfolio_stats`].
-    fn tester(&self, axioms: &AxiomSet) -> DepTest {
-        let tester = DepTest::with_config(axioms, self.config.clone());
-        match &self.portfolio {
-            Some(cfg) => tester.with_portfolio_tallies(cfg.clone(), &self.tallies),
-            None => tester,
-        }
+    /// A tester over `axioms` on a fresh engine, running through this
+    /// analysis's roster and reporting into its tallies.
+    fn tester(&self, axioms: AxiomSet) -> DepTest {
+        let engine = DepEngine::with_config(axioms, self.config.clone());
+        DepTest::with_portfolio(
+            Portfolio::new(engine, self.portfolio.clone()).with_tallies(&self.tallies),
+        )
     }
 
     /// The snapshot at a label, if the statement accesses memory.
@@ -783,7 +774,7 @@ impl Analysis {
         let s = self.snapshot(s_label).expect("checked above");
         let t = self.snapshot(t_label).expect("checked above");
         let axioms = self.valid_axioms(&[s, t]);
-        let tester = self.tester(&axioms);
+        let tester = self.tester(axioms);
         let mut last = None;
         for (s, t) in &pairs {
             let outcome = tester.test(s, t, HandleRelation::Same);
@@ -807,8 +798,7 @@ impl Analysis {
     ) -> Result<TestOutcome, QueryError> {
         let (ri, rj) = self.loop_carried_pair(label, loop_label)?;
         let snap = self.snapshot(label).expect("checked above");
-        let axioms = self.valid_axioms(&[snap]);
-        let tester = self.tester(&axioms);
+        let tester = self.tester(self.valid_axioms(&[snap]));
         Ok(tester.test(&ri, &rj, HandleRelation::Same))
     }
 
@@ -864,13 +854,7 @@ impl Analysis {
                 Ok((pairs, axioms)) => {
                     let key = axioms.to_string();
                     let group = *group_of.entry(key).or_insert_with(|| {
-                        let engine = DepEngine::with_config(axioms, self.config.clone());
-                        let tester = match &self.portfolio {
-                            Some(cfg) => DepTest::with_engine(engine)
-                                .with_portfolio_tallies(cfg.clone(), &self.tallies),
-                            None => DepTest::with_engine(engine),
-                        };
-                        groups.push((tester, Vec::new()));
+                        groups.push((self.tester(axioms), Vec::new()));
                         groups.len() - 1
                     });
                     let tasks = &mut groups[group].1;

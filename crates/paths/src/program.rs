@@ -244,7 +244,7 @@ impl ProgramAnalysis {
         self
     }
 
-    /// Enables portfolio racing for every procedure's queries.
+    /// Sets the engine roster every procedure's queries run through.
     pub fn set_portfolio_config(&mut self, config: PortfolioConfig) {
         for unit in &mut self.procs {
             unit.analysis.set_portfolio_config(config.clone());
@@ -258,7 +258,7 @@ impl ProgramAnalysis {
         self
     }
 
-    /// Routes every procedure's race tallies into `sink` (clones of a
+    /// Routes every procedure's engine tallies into `sink` (clones of a
     /// [`TallySink`] share counters, so the per-procedure analyses all
     /// aggregate into the caller's one total).
     pub fn set_portfolio_tallies(&mut self, sink: &TallySink) {

@@ -46,11 +46,15 @@ pub fn derive(re: &Regex, sym: crate::Symbol) -> Regex {
 /// nullable on the left and not on the right.
 ///
 /// This is a third, automata-free implementation of the subset test, used
-/// to cross-validate the DFA kernels. Derivatives here are only
-/// syntactically simplified (not normalized modulo
-/// associativity/commutativity/idempotence), so the pair space is not
-/// always finite: the search gives up after expanding `budget` distinct
-/// pairs and returns `None` ("undecided"). `Some(v)` answers are exact.
+/// to cross-validate the DFA kernels. Every derivative is put in
+/// [`similar`] form (alternation normalized modulo associativity,
+/// commutativity and idempotence), under which an expression has finitely
+/// many derivatives \[Brz64\], so the pair space is finite and the terms in
+/// it stop growing. Without that normal form `(b|b.b)+` alone has
+/// derivatives of ever larger size along `b, b, b, …`, and a search that
+/// only counted pairs could still exhaust memory. The search gives up
+/// after expanding `budget` distinct pairs and returns `None`
+/// ("undecided"). `Some(v)` answers are exact.
 ///
 /// ```
 /// use apt_regex::{derivative, parse};
@@ -66,7 +70,7 @@ pub fn is_subset_bounded(a: &Regex, b: &Regex, budget: usize) -> Option<bool> {
     alpha.dedup();
 
     let mut seen: std::collections::HashSet<(Regex, Regex)> = std::collections::HashSet::new();
-    let start = (a.clone(), b.clone());
+    let start = (similar(a), similar(b));
     seen.insert(start.clone());
     let mut stack = vec![start];
     while let Some((ra, rb)) = stack.pop() {
@@ -74,12 +78,12 @@ pub fn is_subset_bounded(a: &Regex, b: &Regex, budget: usize) -> Option<bool> {
             return Some(false);
         }
         for &sym in &alpha {
-            let da = derive(&ra, sym);
+            let da = similar(&derive(&ra, sym));
             if da.is_empty_language() {
                 // No word of L(a) continues this way: nothing to refute.
                 continue;
             }
-            let db = derive(&rb, sym);
+            let db = similar(&derive(&rb, sym));
             let pair = (da, db);
             if seen.insert(pair.clone()) {
                 if seen.len() > budget {
@@ -90,6 +94,63 @@ pub fn is_subset_bounded(a: &Regex, b: &Regex, budget: usize) -> Option<bool> {
         }
     }
     Some(true)
+}
+
+/// `re` with every alternation flattened, its branches put in this form,
+/// sorted by [`cmp_structure`] and deduplicated: Brzozowski's similarity
+/// normal form. Same language as `re`.
+fn similar(re: &Regex) -> Regex {
+    match re {
+        Regex::Empty | Regex::Epsilon | Regex::Field(_) => re.clone(),
+        Regex::Concat(a, b) => Regex::concat(similar(a), similar(b)),
+        Regex::Star(a) => Regex::star(similar(a)),
+        Regex::Plus(a) => Regex::plus(similar(a)),
+        Regex::Alt(..) => {
+            fn branches(re: &Regex, out: &mut Vec<Regex>) {
+                match re {
+                    Regex::Alt(a, b) => {
+                        branches(a, out);
+                        branches(b, out);
+                    }
+                    _ => out.push(similar(re)),
+                }
+            }
+            let mut out = Vec::new();
+            branches(re, &mut out);
+            out.sort_by(cmp_structure);
+            out.dedup();
+            Regex::alt_all(out)
+        }
+    }
+}
+
+/// A total order on expression trees (variant, then symbol id, then
+/// children left to right). Symbol ids follow interning order, so the
+/// order is fixed within a process, which is all [`similar`] needs.
+fn cmp_structure(a: &Regex, b: &Regex) -> std::cmp::Ordering {
+    fn rank(re: &Regex) -> u8 {
+        match re {
+            Regex::Empty => 0,
+            Regex::Epsilon => 1,
+            Regex::Field(_) => 2,
+            Regex::Concat(..) => 3,
+            Regex::Alt(..) => 4,
+            Regex::Star(_) => 5,
+            Regex::Plus(_) => 6,
+        }
+    }
+    if std::ptr::eq(a, b) {
+        return std::cmp::Ordering::Equal;
+    }
+    match (a, b) {
+        (Regex::Field(x), Regex::Field(y)) => x.cmp(y),
+        (Regex::Concat(a1, a2), Regex::Concat(b1, b2))
+        | (Regex::Alt(a1, a2), Regex::Alt(b1, b2)) => {
+            cmp_structure(a1, b1).then_with(|| cmp_structure(a2, b2))
+        }
+        (Regex::Star(x), Regex::Star(y)) | (Regex::Plus(x), Regex::Plus(y)) => cmp_structure(x, y),
+        _ => rank(a).cmp(&rank(b)),
+    }
 }
 
 /// Derives by an entire word, returning the residual language.
@@ -165,6 +226,26 @@ mod tests {
         let a = crate::parse("(L|R)*.N").unwrap();
         let b = crate::parse("(L|R|N)*").unwrap();
         assert_eq!(is_subset_bounded(&a, &b, 1), None);
+    }
+
+    #[test]
+    fn similarity_keeps_growing_derivatives_finite() {
+        // Along b, b, b, … the derivatives of (b|b.b)+ are syntactically
+        // distinct and keep growing; modulo similarity there are three.
+        let a = crate::parse("(b|b.b)+").unwrap();
+        let b = crate::parse("b+").unwrap();
+        assert_eq!(is_subset_bounded(&a, &b, 32), Some(true));
+        assert_eq!(is_subset_bounded(&b, &a, 32), Some(true));
+        let c = crate::parse("b+.(c.a|c.c)").unwrap();
+        assert_eq!(is_subset_bounded(&c, &a, 32), Some(false));
+    }
+
+    #[test]
+    fn similar_is_a_normal_form() {
+        let x = crate::parse("(L|R)|(N|L)").unwrap();
+        let y = crate::parse("N|(R|L)").unwrap();
+        assert_eq!(similar(&x), similar(&y));
+        assert_eq!(similar(&similar(&x)), similar(&x));
     }
 
     #[test]

@@ -15,16 +15,21 @@
 //! Entries now carry a reference count of **live scopes** and the arena
 //! reclaims slots when that count drains:
 //!
-//! * An [`ArenaScope`] is an epoch handle. While at least one scope is
-//!   open, every intern (fresh insert *or* hash-cons hit) is charged to
-//!   **all currently open scopes** — conservative over-retention, never
-//!   under-retention. A per-entry generation marker dedupes the charge, so
-//!   re-interning a hot expression a million times under a stable scope
-//!   set records it once.
-//! * Interning with **no scope open** pins the entry permanently — the
-//!   pre-lifecycle behaviour, which is exactly right for CLI runs and
-//!   tests. [`RegexId::EMPTY`] and [`RegexId::EPSILON`] are pre-seeded
-//!   pinned.
+//! * An [`ArenaScope`] is an epoch handle. A thread is *in* a scope from
+//!   the moment it opens it until it drops it, and while it holds the
+//!   guard of [`ArenaScope::enter`] (how an engine's worker threads join
+//!   the engine's scope). Every intern (fresh insert *or* hash-cons hit)
+//!   made by a thread that is in an open scope is charged to **all
+//!   currently open scopes** — conservative over-retention, never
+//!   under-retention. A per-entry generation marker dedupes the charge,
+//!   so re-interning a hot expression a million times under a stable
+//!   scope set records it once.
+//! * Interning on a thread that is in **no open scope** pins the entry
+//!   permanently — the pre-lifecycle behaviour, which is exactly right for
+//!   CLI runs, standalone provers and tests. Whether *another* thread has
+//!   a scope open does not matter: its scope would not outlive this
+//!   thread's use of the id. [`RegexId::EMPTY`] and [`RegexId::EPSILON`]
+//!   are pre-seeded pinned.
 //! * Dropping a scope decrements its charged entries; entries reaching
 //!   zero references (and not pinned) are compacted: their lookup key is
 //!   removed, their slot goes on a free list for reuse, and
@@ -32,9 +37,9 @@
 //!   engine owns a scope, so LRU eviction *is* the compaction trigger and
 //!   daemon RSS stays bounded under session churn.
 //!
-//! The validity contract follows: an id interned under a scope stays valid
+//! The validity contract follows: an id interned in a scope stays valid
 //! while that scope (or any scope open at the time) lives; an id interned
-//! outside any scope is valid forever. Because interning recurses through
+//! outside every scope is valid forever. Because interning recurses through
 //! children before the parent, a retained parent always retains its
 //! children — no live entry can refer to a compacted slot. Using an id
 //! after its last scope dropped panics with a "compacted" message rather
@@ -42,10 +47,19 @@
 
 use crate::fx::FxHashMap;
 use crate::{Regex, Symbol};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 use std::mem::size_of;
 use std::sync::{Mutex, OnceLock};
+
+thread_local! {
+    /// Ids of the scopes this thread is in (opened here, or joined with
+    /// [`ArenaScope::enter`]). A scope dropped on another thread lingers
+    /// here until the next intern prunes it.
+    static ENTERED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// An interned, hash-consed regular expression.
 ///
@@ -174,9 +188,9 @@ impl Arena {
             + size_of::<Regex>()
     }
 
-    /// Charges `id` to the open scopes (or pins it when none are open),
-    /// deduped per scope-set generation.
-    fn touch(&mut self, id: u32) {
+    /// Charges `id` to the open scopes when the interning thread is in one
+    /// (`scoped`), deduped per scope-set generation; pins it otherwise.
+    fn touch(&mut self, id: u32, scoped: bool) {
         let gen = self.gen;
         let nscopes = self.scopes.len();
         let newly_pinned = {
@@ -186,7 +200,7 @@ impl Arena {
             if e.pinned {
                 return;
             }
-            if nscopes == 0 {
+            if !scoped || nscopes == 0 {
                 e.pinned = true;
                 true
             } else {
@@ -207,9 +221,9 @@ impl Arena {
         }
     }
 
-    fn insert(&mut self, node: Node, regex: Regex) -> RegexId {
+    fn insert(&mut self, node: Node, regex: Regex, scoped: bool) -> RegexId {
         if let Some(&id) = self.lookup.get(&node) {
-            self.touch(id);
+            self.touch(id, scoped);
             return RegexId(id);
         }
         let nullable = regex.is_nullable();
@@ -276,21 +290,33 @@ impl Arena {
             }
         };
         self.lookup.insert(node, id);
-        self.touch(id);
+        self.touch(id, scoped);
         RegexId(id)
     }
 
-    fn intern(&mut self, re: &Regex) -> RegexId {
+    fn intern(&mut self, re: &Regex, scoped: bool) -> RegexId {
         let node = match re {
             Regex::Empty => Node::Empty,
             Regex::Epsilon => Node::Epsilon,
             Regex::Field(s) => Node::Field(*s),
-            Regex::Concat(a, b) => Node::Concat(self.intern(a), self.intern(b)),
-            Regex::Alt(a, b) => Node::Alt(self.intern(a), self.intern(b)),
-            Regex::Star(a) => Node::Star(self.intern(a)),
-            Regex::Plus(a) => Node::Plus(self.intern(a)),
+            Regex::Concat(a, b) => Node::Concat(self.intern(a, scoped), self.intern(b, scoped)),
+            Regex::Alt(a, b) => Node::Alt(self.intern(a, scoped), self.intern(b, scoped)),
+            Regex::Star(a) => Node::Star(self.intern(a, scoped)),
+            Regex::Plus(a) => Node::Plus(self.intern(a, scoped)),
         };
-        self.insert(node, re.clone())
+        self.insert(node, re.clone(), scoped)
+    }
+
+    /// Whether the calling thread is in an open scope, dropping the ids
+    /// of closed ones from its list.
+    fn thread_in_scope(&self) -> bool {
+        ENTERED
+            .try_with(|entered| {
+                let mut entered = entered.borrow_mut();
+                entered.retain(|id| self.scopes.contains_key(id));
+                !entered.is_empty()
+            })
+            .unwrap_or(false)
     }
 
     fn scope_open(&mut self) -> u64 {
@@ -360,8 +386,8 @@ fn arena() -> &'static Mutex<Arena> {
         };
         // Pre-seed the two constants so RegexId::EMPTY / EPSILON are fixed
         // (inserted with no scope open, hence pinned forever).
-        arena.insert(Node::Empty, Regex::Empty);
-        arena.insert(Node::Epsilon, Regex::Epsilon);
+        arena.insert(Node::Empty, Regex::Empty, false);
+        arena.insert(Node::Epsilon, Regex::Epsilon, false);
         Mutex::new(arena)
     })
 }
@@ -373,10 +399,11 @@ pub fn arena_stats() -> ArenaStats {
 
 /// An open retention epoch on the global regex arena.
 ///
-/// While the scope lives, every id interned (by any thread) stays valid;
-/// dropping the scope releases its charges and compacts entries no other
-/// scope (and no pin) still holds. [`crate::Regex`] trees themselves are
-/// unaffected — only the id table is scoped.
+/// While the scope lives, every id interned by a thread in a scope (this
+/// one or another) stays valid; dropping the scope releases its charges
+/// and compacts entries no other scope (and no pin) still holds.
+/// [`crate::Regex`] trees themselves are unaffected — only the id table
+/// is scoped.
 ///
 /// Typical ownership: one scope per long-lived engine, dropped when the
 /// engine is evicted, so a daemon's arena footprint tracks its *resident*
@@ -387,13 +414,51 @@ pub struct ArenaScope {
 }
 
 impl ArenaScope {
-    /// Opens a new retention epoch.
+    /// Opens a new retention epoch. The calling thread is in it until the
+    /// scope drops.
     pub fn new() -> ArenaScope {
         let id = arena()
             .lock()
             .expect("regex interner poisoned")
             .scope_open();
+        ENTERED.with(|entered| entered.borrow_mut().push(id));
         ArenaScope { id }
+    }
+
+    /// Puts the calling thread in this scope until the guard drops, so
+    /// what it interns meanwhile is charged here instead of pinned. An
+    /// engine's worker threads enter the engine's scope this way.
+    pub fn enter(&self) -> EnteredScope<'_> {
+        ENTERED.with(|entered| entered.borrow_mut().push(self.id));
+        EnteredScope {
+            scope: self,
+            _not_send: PhantomData,
+        }
+    }
+}
+
+/// Removes one entry for `id` from the calling thread's scope list.
+fn leave(id: u64) {
+    // Ignore a thread already tearing down its locals.
+    let _ = ENTERED.try_with(|entered| {
+        let mut entered = entered.borrow_mut();
+        if let Some(pos) = entered.iter().rposition(|&e| e == id) {
+            entered.remove(pos);
+        }
+    });
+}
+
+/// The calling thread's membership in an [`ArenaScope`], from
+/// [`ArenaScope::enter`]. Bound to the thread that entered.
+#[derive(Debug)]
+pub struct EnteredScope<'a> {
+    scope: &'a ArenaScope,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for EnteredScope<'_> {
+    fn drop(&mut self) {
+        leave(self.scope.id);
     }
 }
 
@@ -405,6 +470,7 @@ impl Default for ArenaScope {
 
 impl Drop for ArenaScope {
     fn drop(&mut self) {
+        leave(self.id);
         if let Ok(mut guard) = arena().lock() {
             guard.scope_close(self.id);
         }
@@ -420,10 +486,12 @@ impl RegexId {
 
     /// Interns `re`, returning its canonical id. Structurally equal trees
     /// (from any allocation) intern to the same id. The id stays valid
-    /// while any [`ArenaScope`] open right now lives — forever, when none
-    /// is open.
+    /// while any [`ArenaScope`] open right now lives when the calling
+    /// thread is in one — forever, when it is in none.
     pub fn intern(re: &Regex) -> RegexId {
-        arena().lock().expect("regex interner poisoned").intern(re)
+        let mut arena = arena().lock().expect("regex interner poisoned");
+        let scoped = arena.thread_in_scope();
+        arena.intern(re, scoped)
     }
 
     /// The interned expression tree (cheap: clones a shared top node).

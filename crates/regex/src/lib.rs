@@ -67,7 +67,7 @@ mod symbol;
 pub use ast::Regex;
 pub use cache::DfaCache;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use intern::{arena_stats, ArenaScope, ArenaStats, RegexId};
+pub use intern::{arena_stats, ArenaScope, ArenaStats, EnteredScope, RegexId};
 pub use limits::{LimitExceeded, Limits};
 pub use parse::{parse, ParseRegexError};
 pub use path::{Component, Path};

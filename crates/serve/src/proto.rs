@@ -38,16 +38,25 @@ use crate::json::{obj, parse, Json};
 ///   (whole-program incremental dependence tables), and `invalidate`
 ///   (dropping persisted analyze state); unknown verbs now answer
 ///   `unsupported` instead of `bad_request`.
-/// * **3** — portfolio solving: `prove`/`batch` queries accept an
-///   `"engines"` selection (`"all"`, `"axiomatic"`, or a comma list of
-///   `axiomatic`/`dyck`/`refuter`), outcome frames carry `"engine"`
-///   (which backend settled the query) and `"witness"` (an encoded
-///   concrete dependence heap for refuter `Yes` answers), and `stats`
-///   reports per-engine win/loss/cancel tallies under `"portfolio"`.
+/// * **3** — portfolio solving: proving frames accept an `"engines"`
+///   selection (`"all"`, `"axiomatic"`, or a comma list of engine
+///   names), outcome frames carry `"engine"` (which backend settled the
+///   query) and `"witness"` (an encoded concrete dependence heap for
+///   refuter `Yes` answers), and `stats` reports per-engine
+///   win/loss/cancel tallies under `"portfolio"`.
+/// * **4** — the Dyck engine is retired, so `axiomatic` and `refuter`
+///   are the engine names left: an `"engines"` selection naming `dyck`
+///   answers `unsupported`, and the `stats` `portfolio` block has no
+///   `dyck` row.
 ///
-/// Frames from a v1/v2 client are a strict subset of v3, so old
-/// clients interoperate unchanged.
-pub const PROTO_VERSION: u64 = 3;
+/// Frames from a v1–v3 client stay valid v4 frames, except an
+/// `"engines"` selection naming `dyck`.
+pub const PROTO_VERSION: u64 = 4;
+
+/// Engine names earlier protocol versions accepted and this one no
+/// longer serves; a selection naming one answers `unsupported`, not
+/// `bad_request`.
+const RETIRED_ENGINES: &[&str] = &["dyck"];
 
 /// Every verb this build understands, in documentation order. The
 /// `hello` response carries this list so clients can feature-detect
@@ -276,6 +285,20 @@ fn engines_field(frame: &Json) -> Result<Option<EngineSelection>, ProtoError> {
             let spec = v
                 .as_str()
                 .ok_or_else(|| ProtoError::bad("engines must be a string"))?;
+            if let Some(retired) = spec
+                .split(',')
+                .map(str::trim)
+                .find(|name| RETIRED_ENGINES.contains(name))
+            {
+                return Err(ProtoError {
+                    code: ErrorCode::Unsupported,
+                    message: format!(
+                        "engine {retired:?} is not supported at proto_version {PROTO_VERSION} \
+                         (expected all, axiomatic, refuter)"
+                    ),
+                    verb: None,
+                });
+            }
             EngineSelection::parse(spec)
                 .map(Some)
                 .map_err(|e| ProtoError::bad(format!("engines: {e}")))
@@ -503,14 +526,16 @@ fn frame_base(id: Option<&Json>, ok: bool) -> Vec<(&'static str, Json)> {
 }
 
 /// An error response frame. `unsupported` frames additionally carry
-/// the rejected `verb` and the server's `proto_version` so clients can
-/// negotiate without parsing prose.
+/// the server's `proto_version` (and the rejected `verb`, when a verb
+/// was the problem) so clients can negotiate without parsing prose.
 pub fn error_frame(id: Option<&Json>, error: &ProtoError) -> Json {
     let mut pairs = frame_base(id, false);
     pairs.push(("error", error.code.as_str().into()));
     pairs.push(("message", error.message.as_str().into()));
     if let Some(verb) = &error.verb {
         pairs.push(("verb", verb.as_str().into()));
+    }
+    if error.code == ErrorCode::Unsupported {
         pairs.push(("proto_version", PROTO_VERSION.into()));
     }
     obj(pairs)
@@ -585,7 +610,6 @@ pub fn portfolio_json(stats: &PortfolioStats) -> Json {
     };
     obj(vec![
         ("axiomatic", tally(stats.axiomatic)),
-        ("dyck", tally(stats.dyck)),
         ("refuter", tally(stats.refuter)),
         ("witnesses", stats.witnesses.into()),
     ])
@@ -627,14 +651,28 @@ mod tests {
     #[test]
     fn parses_engine_selections() {
         let (_, req) = parse_request(
-            r#"{"verb":"prove","session":"s0","a":"L","b":"R","engines":"dyck,refuter"}"#,
+            r#"{"verb":"prove","session":"s0","a":"L","b":"R","engines":"axiomatic,refuter"}"#,
         )
         .unwrap();
         let Request::Prove { query, .. } = req else {
             panic!("wrong verb");
         };
         let sel = query.engines.expect("engines parsed");
-        assert!(!sel.axiomatic && sel.dyck && sel.refuter);
+        assert!(sel.axiomatic && sel.refuter);
+
+        // The retired Dyck engine is refused machine-readably, alone or
+        // in a list, on any proving verb.
+        for frame in [
+            r#"{"verb":"prove","session":"s0","a":"L","b":"R","engines":"dyck"}"#,
+            r#"{"verb":"prove","session":"s0","a":"L","b":"R","engines":"dyck,refuter"}"#,
+            r#"{"verb":"batch","session":"s0","queries":[],"engines":"refuter, dyck"}"#,
+            r#"{"verb":"report","program":"proc p() {}","engines":"dyck"}"#,
+        ] {
+            let e = parse_request(frame).unwrap_err();
+            assert_eq!(e.code, ErrorCode::Unsupported, "{frame}");
+            let text = error_frame(None, &e).render();
+            assert!(text.contains(r#""proto_version":4"#), "{text}");
+        }
 
         // Omitted means "server default", not "none".
         let (_, req) = parse_request(r#"{"verb":"prove","session":"s0","a":"L","b":"R"}"#).unwrap();
@@ -702,7 +740,7 @@ mod tests {
         let text = error_frame(None, &e).render();
         assert!(text.contains(r#""error":"unsupported""#), "{text}");
         assert!(text.contains(r#""verb":"frobnicate""#), "{text}");
-        assert!(text.contains(r#""proto_version":3"#), "{text}");
+        assert!(text.contains(r#""proto_version":4"#), "{text}");
     }
 
     #[test]

@@ -65,8 +65,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use apt_core::{
-    Budget, CancelToken, DepQuery, EngineSelection, Origin, Outcome, Portfolio, PortfolioConfig,
-    ProverConfig, ProverStats, TallySink,
+    Budget, CancelToken, DepEngine, DepQuery, EngineSelection, Origin, Outcome, Portfolio,
+    PortfolioConfig, ProverConfig, ProverStats, TallySink,
 };
 use apt_paths::{analyze_program, BatchOptions, DepTable, RowOutcome};
 
@@ -125,17 +125,18 @@ pub struct ServeConfig {
     pub idle_timeout: Option<Duration>,
     /// Injected faults for the snapshot path (dev/test only).
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Default engine portfolio for proving verbs; `None` runs the
-    /// axiomatic prover alone. A `prove`/`batch` frame's `"engines"`
-    /// field overrides the selection per query either way.
-    pub portfolio: Option<PortfolioConfig>,
+    /// Default engine portfolio for proving verbs: the axiomatic prover
+    /// alone unless widened. A proving frame's `"engines"` field
+    /// overrides the selection per request (and a `batch` query's own
+    /// field per query), keeping the rest of this tuning.
+    pub portfolio: PortfolioConfig,
 }
 
 impl ServeConfig {
     /// Defaults: workers = available parallelism, 64-deep queue,
     /// 32 sessions, connections capped just under the fd limit, the
     /// prover's stock budget as both default and ceiling, a 120 s read
-    /// deadline, snapshots disabled.
+    /// deadline, snapshots disabled, the axiomatic prover alone.
     pub fn new() -> ServeConfig {
         let workers = thread::available_parallelism().map_or(4, usize::from);
         ServeConfig {
@@ -149,7 +150,7 @@ impl ServeConfig {
             snapshot_interval: None,
             idle_timeout: Some(Duration::from_secs(120)),
             fault_plan: None,
-            portfolio: None,
+            portfolio: PortfolioConfig::axiomatic_only(),
         }
     }
 
@@ -323,8 +324,8 @@ pub(crate) struct Ctx {
     /// Persisted whole-program dependence tables by name (the `analyze`
     /// verb's incremental state; snapshotted beside the sessions).
     pub(crate) tables: Mutex<HashMap<String, DepTable>>,
-    /// Server-wide per-engine race tallies (the `stats` verb's
-    /// `portfolio` block); every portfolio any verb builds records here.
+    /// Server-wide per-engine tallies (the `stats` verb's `portfolio`
+    /// block); every portfolio any verb builds records here.
     pub(crate) tallies: TallySink,
 }
 
@@ -727,18 +728,13 @@ pub(crate) fn handle_line(ctx: &Arc<Ctx>, line: &str, cancel: &CancelToken) -> L
             let budget = resolved_budget(ctx, &query, cancel);
             let dep = wire_to_query(&query).with_budget(budget);
             let want_proof = query.want_proof;
-            let portfolio = effective_portfolio(ctx, query.engines);
+            let engines = query.engines;
             let ctx = Arc::clone(ctx);
             let frame_id = id.clone();
             LineOutcome::Job {
                 id,
                 work: Box::new(move || {
-                    let outcome = match portfolio {
-                        Some(cfg) => Portfolio::new((*engine).clone(), cfg)
-                            .with_tallies(&ctx.tallies)
-                            .run(&dep),
-                        None => engine.run(&dep),
-                    };
+                    let outcome = portfolio(&ctx, &engine, engines).run(&dep);
                     Metrics::bump(&ctx.metrics.queries_total);
                     ok_frame(
                         frame_id.as_ref(),
@@ -765,42 +761,21 @@ pub(crate) fn handle_line(ctx: &Arc<Ctx>, line: &str, cancel: &CancelToken) -> L
                 .map(|q| wire_to_query(q).with_budget(resolved_budget(ctx, q, cancel)))
                 .collect();
             let want: Vec<bool> = queries.iter().map(|q| q.want_proof).collect();
-            // A query-level `engines` overrides the batch-level one,
-            // which overrides the server default.
-            let batch_portfolio = effective_portfolio(ctx, engines);
-            let query_portfolios: Vec<Option<PortfolioConfig>> = queries
-                .iter()
-                .map(|q| {
-                    q.engines
-                        .and_then(|sel| effective_portfolio(ctx, Some(sel)))
-                })
-                .collect();
+            let rosters: Vec<Option<EngineSelection>> = queries.iter().map(|q| q.engines).collect();
             let ctx = Arc::clone(ctx);
             let frame_id = id.clone();
             LineOutcome::Job {
                 id,
                 work: Box::new(move || {
-                    // The staged batch racer covers the common case; any
-                    // per-query selection splits those queries out into
-                    // individual races under their own rosters.
-                    let outcomes: Vec<Outcome> = if query_portfolios.iter().all(Option::is_none) {
-                        match batch_portfolio {
-                            Some(cfg) => Portfolio::new((*engine).clone(), cfg)
-                                .with_tallies(&ctx.tallies)
-                                .run_batch(&deps, jobs),
-                            None => engine.run_batch(&deps, jobs),
-                        }
+                    // The staged batch covers the common case; any
+                    // per-query selection (which overrides the batch-level
+                    // one) splits the queries out under their own rosters.
+                    let outcomes: Vec<Outcome> = if rosters.iter().all(Option::is_none) {
+                        portfolio(&ctx, &engine, engines).run_batch(&deps, jobs)
                     } else {
                         deps.iter()
-                            .zip(query_portfolios.iter())
-                            .map(
-                                |(dep, qp)| match qp.clone().or_else(|| batch_portfolio.clone()) {
-                                    Some(cfg) => Portfolio::new((*engine).clone(), cfg)
-                                        .with_tallies(&ctx.tallies)
-                                        .run(dep),
-                                    None => engine.run(dep),
-                                },
-                            )
+                            .zip(&rosters)
+                            .map(|(dep, sel)| portfolio(&ctx, &engine, sel.or(engines)).run(dep))
                             .collect()
                     };
                     Metrics::add(&ctx.metrics.queries_total, outcomes.len() as u64);
@@ -1050,24 +1025,23 @@ fn resolved_budget(ctx: &Ctx, q: &WireQuery, cancel: &CancelToken) -> Budget {
         .with_cancel(cancel.clone())
 }
 
-/// The portfolio a request actually races under. A frame's `engines`
-/// selection overrides the roster of the server's default portfolio
-/// (keeping its other tuning); a selection with no server default runs
-/// under stock portfolio tuning; neither means the session's axiomatic
-/// engine runs alone, exactly as before portfolios existed.
-fn effective_portfolio(ctx: &Ctx, engines: Option<EngineSelection>) -> Option<PortfolioConfig> {
-    match (&ctx.config.portfolio, engines) {
-        (Some(cfg), Some(sel)) => Some(PortfolioConfig {
-            engines: sel,
-            ..cfg.clone()
-        }),
-        (Some(cfg), None) => Some(cfg.clone()),
-        (None, Some(sel)) => Some(PortfolioConfig {
-            engines: sel,
-            ..PortfolioConfig::default()
-        }),
-        (None, None) => None,
+/// The portfolio configuration a request runs under: a frame's
+/// `engines` selection overrides the roster of the server's default
+/// portfolio, keeping its other tuning.
+fn effective_portfolio(ctx: &Ctx, engines: Option<EngineSelection>) -> PortfolioConfig {
+    match engines {
+        Some(engines) => PortfolioConfig {
+            engines,
+            ..ctx.config.portfolio.clone()
+        },
+        None => ctx.config.portfolio.clone(),
     }
+}
+
+/// A session engine's executor for one request, recording into the
+/// server-wide tallies.
+fn portfolio(ctx: &Ctx, engine: &DepEngine, engines: Option<EngineSelection>) -> Portfolio {
+    Portfolio::new(engine.clone(), effective_portfolio(ctx, engines)).with_tallies(&ctx.tallies)
 }
 
 /// The `report` verb: whole-program analysis (the `apt report`
@@ -1094,7 +1068,7 @@ fn run_report(
         .with_cancel(cancel.clone());
     let mut config = ProverConfig::new();
     config.budget = budget;
-    let portfolio = effective_portfolio(ctx, engines);
+    let portfolio_config = effective_portfolio(ctx, engines);
     let jobs = ctx.config.workers;
     let mut procs: Vec<Json> = Vec::new();
     let mut total = 0usize;
@@ -1110,10 +1084,8 @@ fn run_report(
             }
         };
         analysis.set_prover_config(config.clone());
-        if let Some(cfg) = &portfolio {
-            analysis.set_portfolio_config(cfg.clone());
-            analysis.set_portfolio_tallies(ctx.tallies.clone());
-        }
+        analysis.set_portfolio_config(portfolio_config.clone());
+        analysis.set_portfolio_tallies(ctx.tallies.clone());
         let queries = analysis.all_queries();
         total += queries.len();
         let report = analysis.run_batch(&queries, &BatchOptions::new().with_jobs(jobs));
@@ -1169,11 +1141,10 @@ fn run_analyze(
         .cloned();
     let mut config = ProverConfig::new();
     config.budget = resolved;
-    let mut analysis = analyze_program(&program).with_prover_config(config);
-    if let Some(cfg) = effective_portfolio(ctx, engines) {
-        analysis.set_portfolio_config(cfg);
-        analysis.set_portfolio_tallies(&ctx.tallies);
-    }
+    let mut analysis = analyze_program(&program)
+        .with_prover_config(config)
+        .with_portfolio_config(effective_portfolio(ctx, engines));
+    analysis.set_portfolio_tallies(&ctx.tallies);
     let report = analysis.run(baseline.as_ref(), &BatchOptions::new().with_jobs(jobs));
     Metrics::add(&ctx.metrics.queries_total, report.reproved() as u64);
     Metrics::add(&ctx.metrics.analyze_replayed, report.replayed() as u64);

@@ -16,6 +16,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+echo "==> perfbench builds and its unit tests pass"
+# perfbench/ is the repository's benchmark, a Cargo package of its own
+# outside the workspace; building it here makes an API change that
+# breaks the benchmark fail CI instead of the next benchmark run.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> batch throughput benchmark (smoke: 1 repetition)"
 cargo run -q --release -p apt-bench --bin batch_throughput -- --smoke
 
@@ -71,23 +78,9 @@ if [[ -n "$string_keys" ]]; then
     exit 1
 fi
 
-# (The pre-0.2 deprecated prove_* shim grep is gone: the shims themselves
-# were removed from crates/core/src/prover.rs, so the compiler now enforces
-# what the grep used to.)
-
-echo "==> the deprecated Analysis::test_batch shims stay deleted"
-# run_batch is the one batch entry point; the PR 7 #[deprecated] shims are
-# gone from crates/paths entirely. DepTest::test_batch in crates/core is a
-# different, non-deprecated API — analysis.rs's grouped call to it (and
-# the core crate itself) is the one permitted spelling.
-shim_revival=$(grep -rnE 'fn test_batch(_with_stats)?\(|\.test_batch_with_stats\(' \
-    --include='*.rs' crates/paths crates/cli crates/serve crates/bench \
-    src tests examples 2>/dev/null || true)
-if [[ -n "$shim_revival" ]]; then
-    echo "error: the deprecated Analysis batch shims are back (use run_batch):" >&2
-    echo "$shim_revival" >&2
-    exit 1
-fi
+# (The deprecated prove_* and Analysis::test_batch shim greps are gone: the
+# shims themselves were removed from crates/core and crates/paths, so the
+# compiler now enforces what the greps used to.)
 
 echo "==> incremental analyze benchmark (smoke: verdict parity)"
 # The bin exits nonzero if any incremental verdict diverges from the
@@ -511,7 +504,7 @@ wait "$SERVE_PID" || {
 trap - EXIT
 rm -rf "$ANDIR"
 
-echo "==> portfolio smoke: --engines all parity + refuter resolves a Maybe"
+echo "==> portfolio smoke: --engines all parity + refuter resolves a Maybe + no dyck"
 # Racing the engines must not change a definite answer: the provable
 # Figure 3 pair stays No (exit 0) under --engines all.
 solo_rc=0; raced_rc=0
@@ -539,6 +532,14 @@ if ! grep -q 'engine: refuter' <<<"$raced_out" \
     echo "error: the refuter did not resolve the known Maybe with a" \
         "validated witness:" >&2
     echo "$raced_out" >&2
+    exit 1
+fi
+# The Dyck engine is retired: naming it is a usage error (exit 2).
+dyck_rc=0
+"$APT" prove examples/programs/llt.adds L.L.N L.R.N --engines dyck >/dev/null 2>&1 \
+    || dyck_rc=$?
+if [[ "$dyck_rc" -ne 2 ]]; then
+    echo "error: --engines dyck should be a usage error (exit 2), got exit $dyck_rc" >&2
     exit 1
 fi
 

@@ -183,3 +183,50 @@ fn live_engine_ids_survive_neighbor_compaction() {
     let mem = MemorySample::take();
     assert!(mem.arena.live_nodes >= 2);
 }
+
+/// A scope belongs to the threads in it. An id interned on a thread in no
+/// scope is pinned, even while another thread holds a scope open, so that
+/// scope closing cannot compact it.
+#[test]
+fn unscoped_interns_survive_another_threads_scope() {
+    let _guard = serialize();
+    let (opened_tx, opened_rx) = std::sync::mpsc::channel();
+    let (interned_tx, interned_rx) = std::sync::mpsc::channel::<()>();
+    let id = std::thread::scope(|s| {
+        s.spawn(move || {
+            let scope = ArenaScope::new();
+            opened_tx.send(()).expect("send");
+            interned_rx.recv().expect("recv");
+            drop(scope);
+        });
+        opened_rx.recv().expect("recv");
+        let id = RegexId::intern(&parse("alcXthreadA.alcXthreadB+").unwrap());
+        interned_tx.send(()).expect("send");
+        id
+    });
+    assert_eq!(id.to_regex().to_string(), "alcXthreadA.alcXthreadB+");
+    assert!(!id.is_nullable());
+}
+
+/// An engine's worker threads join its scope: what a parallel batch
+/// interns is charged to the engine and reclaimed with it, never pinned.
+#[test]
+fn batch_worker_interns_are_charged_to_the_engine() {
+    let _guard = serialize();
+    let set =
+        apt::axioms::AxiomSet::parse("W1: forall p, p.alcWorkL+ <> p.alcWorkR+").expect("parse");
+    let pinned_before = arena_stats().pinned_nodes;
+    let freed_before = arena_stats().freed_total;
+    let engine = DepEngine::new(set);
+    let queries: Vec<DepQuery> = (0..2 * apt::core::INLINE_BATCH_THRESHOLD)
+        .map(|i| {
+            let a = Path::parse(&format!("alcWorkL+.alcWorkQ{i}")).expect("path");
+            let b = Path::parse(&format!("alcWorkR+.alcWorkQ{i}")).expect("path");
+            DepQuery::disjoint(&a, &b).origin(Origin::Same)
+        })
+        .collect();
+    assert_eq!(engine.run_batch(&queries, 4).len(), queries.len());
+    drop(engine);
+    assert_eq!(arena_stats().pinned_nodes, pinned_before);
+    assert!(arena_stats().freed_total > freed_before);
+}

@@ -13,7 +13,7 @@ type Key = (Answer, Option<MaybeReason>, bool);
 fn fingerprint(outcome: &apt_core::Outcome) -> Key {
     (
         outcome.verdict.answer,
-        outcome.maybe_reason,
+        outcome.verdict.reason,
         outcome.proof.is_some(),
     )
 }

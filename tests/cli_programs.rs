@@ -2,7 +2,7 @@
 //! `examples/programs/` — the exact flows a downstream user runs first.
 
 use apt_cli::{
-    cmd_apm, cmd_prove, cmd_query_carried, cmd_query_sequential, cmd_report, PortfolioOpts,
+    cmd_apm, cmd_prove, cmd_query_carried, cmd_query_sequential, cmd_report, run, PortfolioOpts,
 };
 use apt_core::{Origin, ProverConfig};
 
@@ -74,4 +74,21 @@ fn factor_report_parallelizes_both_loops() {
     let l2 = cmd_query_carried(&text, None, "S", Some("L2"), &cfg(), &PortfolioOpts::off())
         .expect("runs");
     assert!(l2.contains("answer: No"), "{l2}");
+}
+
+#[test]
+fn retired_dyck_engine_is_a_usage_error() {
+    let axioms = format!("{}/examples/programs/llt.adds", env!("CARGO_MANIFEST_DIR"));
+    for spec in ["dyck", "axiomatic,dyck"] {
+        let args: Vec<String> = ["prove", &axioms, "L.L.N", "L.R.N", "--engines", spec]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        // An `Err` is what the binary turns into exit code 2.
+        let err = run(&args).expect_err("dyck is no longer an engine");
+        assert!(
+            err.to_string().contains("all, axiomatic, refuter"),
+            "the message lists the engines left: {err}"
+        );
+    }
 }

@@ -45,7 +45,7 @@ fn starved_fuel_reports_fuel_not_a_wrong_answer() {
             let out = DepQuery::disjoint(&a, &b)
                 .origin(Origin::Same)
                 .run_with(&mut prover);
-            (out.proof, out.maybe_reason)
+            (out.proof, out.verdict.reason)
         };
         // With one goal of fuel either the proof is trivially found or the
         // prover must degrade — it may never invent a bogus proof.
@@ -68,7 +68,7 @@ fn expired_deadline_reports_deadline() {
             let out = DepQuery::disjoint(&a, &b)
                 .origin(Origin::Same)
                 .run_with(&mut prover);
-            (out.proof, out.maybe_reason)
+            (out.proof, out.verdict.reason)
         };
         assert!(proof.is_none(), "an already-expired deadline cannot prove");
         assert_eq!(why, Some(MaybeReason::DeadlineExceeded));
@@ -92,7 +92,7 @@ fn tiny_dfa_budget_reports_regex_budget() {
             let out = DepQuery::disjoint(&a, &b)
                 .origin(Origin::Same)
                 .run_with(&mut prover);
-            (out.proof, out.maybe_reason)
+            (out.proof, out.verdict.reason)
         };
         match proof {
             Some(pf) => check_proof(&axioms, &pf).expect("DFA-free proof must check"),
@@ -120,7 +120,7 @@ fn cancellation_reports_cancelled() {
         let out = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N"))
             .origin(Origin::Same)
             .run_with(&mut prover);
-        (out.proof, out.maybe_reason)
+        (out.proof, out.verdict.reason)
     };
     assert!(proof.is_none());
     assert_eq!(why, Some(MaybeReason::Cancelled));
@@ -139,7 +139,7 @@ fn starved_then_refunded_prover_still_proves() {
             let out = DepQuery::disjoint(&a, &b)
                 .origin(Origin::Same)
                 .run_with(&mut prover);
-            (out.proof, out.maybe_reason)
+            (out.proof, out.verdict.reason)
         };
         // Shallow proofs (Fig. 3 is one direct axiom hit) may fit in 2
         // goals; the deep sparse-matrix searches cannot.
@@ -150,7 +150,7 @@ fn starved_then_refunded_prover_still_proves() {
             let out = DepQuery::disjoint(&a, &b)
                 .origin(Origin::Same)
                 .run_with(&mut prover);
-            (out.proof, out.maybe_reason)
+            (out.proof, out.verdict.reason)
         };
         let proof = proof.unwrap_or_else(|| panic!("refunded prover must prove ({why:?})"));
         check_proof(&axioms, &proof).expect("refunded proof checks");
@@ -170,7 +170,7 @@ fn deadline_starved_then_refunded_prover_still_proves() {
         let out = DepQuery::disjoint(&p("ncolE+"), &p("nrowE+.ncolE+"))
             .origin(Origin::Same)
             .run_with(&mut prover);
-        (out.proof, out.maybe_reason)
+        (out.proof, out.verdict.reason)
     };
     assert!(starved.is_none());
     assert_eq!(why, Some(MaybeReason::DeadlineExceeded));
@@ -180,7 +180,7 @@ fn deadline_starved_then_refunded_prover_still_proves() {
         let out = DepQuery::disjoint(&p("ncolE+"), &p("nrowE+.ncolE+"))
             .origin(Origin::Same)
             .run_with(&mut prover);
-        (out.proof, out.maybe_reason)
+        (out.proof, out.verdict.reason)
     };
     assert!(proof.is_some(), "deadline retry must prove ({why:?})");
 }
@@ -210,7 +210,7 @@ fn adversarial_nested_star_axioms_degrade_within_the_deadline() {
         let out = DepQuery::disjoint(&p(&bomb), &p("c.a"))
             .origin(Origin::Same)
             .run_with(&mut prover);
-        (out.proof, out.maybe_reason)
+        (out.proof, out.verdict.reason)
     };
     let elapsed = started.elapsed();
     // Generous margin: the brakes poll every goal attempt and every 64
@@ -284,7 +284,7 @@ fn bounded_cache_does_not_change_answers() {
             let out = DepQuery::disjoint(&a, &b)
                 .origin(Origin::Same)
                 .run_with(&mut bounded);
-            (out.proof, out.maybe_reason)
+            (out.proof, out.verdict.reason)
         };
         let proof = proof.unwrap_or_else(|| panic!("bounded cache lost the proof ({why:?})"));
         check_proof(&axioms, &proof).expect("bounded-cache proof checks");
@@ -329,7 +329,7 @@ mod soundness_properties {
                 let truth = DepQuery::disjoint(&a, &b).origin(origin).run_with(&mut full).proof;
 
                 let mut tight = Prover::with_config(&axioms, ProverConfig::with_budget(budget.clone()));
-                let (got, why) = { let out = DepQuery::disjoint(&a, &b).origin(origin).run_with(&mut tight); (out.proof, out.maybe_reason) };
+                let (got, why) = { let out = DepQuery::disjoint(&a, &b).origin(origin).run_with(&mut tight); (out.proof, out.verdict.reason) };
                 match got {
                     // A proof found under pressure must still be a real proof.
                     Some(pf) => {
@@ -361,7 +361,7 @@ mod soundness_properties {
             let a = p("next.prev.next");
             let b = p("next");
             let mut tight = Prover::with_config(&axioms, ProverConfig::with_budget(budget));
-            let (equal, why) = { let out = DepQuery::equal(&a, &b).run_with(&mut tight); (out.is_definite(), out.maybe_reason) };
+            let (equal, why) = { let out = DepQuery::equal(&a, &b).run_with(&mut tight); (out.is_definite(), out.verdict.reason) };
             if equal {
                 // Cross-check against the unbounded prover.
                 let mut full = Prover::new(&axioms);
@@ -370,7 +370,7 @@ mod soundness_properties {
                 prop_assert!(why.is_some(), "a failed equality must carry a reason");
             }
             // The definitely-unequal pair must never become equal.
-            let (never, _) = { let out = DepQuery::equal(&p("next"), &p("prev")).run_with(&mut tight); (out.is_definite(), out.maybe_reason) };
+            let (never, _) = { let out = DepQuery::equal(&p("next"), &p("prev")).run_with(&mut tight); (out.is_definite(), out.verdict.reason) };
             prop_assert!(!never);
         }
     }

@@ -65,13 +65,13 @@ type Fingerprint = (Answer, Option<MaybeReason>, Option<String>);
 fn fingerprint(outcome: &Outcome) -> Fingerprint {
     (
         outcome.verdict.answer,
-        outcome.maybe_reason,
+        outcome.verdict.reason,
         outcome.proof.as_ref().map(|p| p.to_string()),
     )
 }
 
 fn degraded(outcome: &Outcome) -> bool {
-    outcome.maybe_reason.is_some_and(|r| r.is_degraded())
+    outcome.verdict.reason.is_some_and(|r| r.is_degraded())
 }
 
 fn spec_strategy() -> impl Strategy<Value = Vec<(usize, u8)>> {

@@ -26,18 +26,19 @@ fn start_server(config: ServeConfig) -> (SocketAddr, ServerHandle, std::thread::
     (addr, handle, join)
 }
 
-/// Threads of *this* process (the server runs in-process), straight
-/// from /proc — the property under test is that connections are state,
-/// not threads.
+/// Threads of *this test*: the calling thread and every thread started
+/// from it, the in-process server's included, straight from /proc — the
+/// property under test is that connections are state, not threads.
+/// Linux gives a new thread its creator's name and the test harness
+/// names each test's thread after the test, so the threads of tests
+/// running alongside (their servers starting and stopping) do not count.
 fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .expect("/proc/self/status")
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .expect("Threads: line")
-        .trim()
-        .parse()
-        .expect("thread count")
+    let own = std::fs::read_to_string("/proc/thread-self/comm").expect("/proc/thread-self/comm");
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| *name == own)
+        .count()
 }
 
 fn read_frame(reader: &mut BufReader<TcpStream>) -> Json {
@@ -379,6 +380,10 @@ fn hundreds_of_idle_connections_cost_no_extra_threads() {
     client.write_all(req.as_bytes()).expect("warmup");
     let _ = read_frame(&mut reader);
     let baseline = thread_count();
+    assert!(
+        baseline > 1,
+        "the server's threads must be among those counted"
+    );
 
     // 300 idle connections. Under the old thread-per-connection design
     // this was 600 threads; under the reactor it must be zero.
