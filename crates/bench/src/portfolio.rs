@@ -1,6 +1,7 @@
-//! Portfolio Maybe-rate: the axiomatic prover alone vs. the
-//! prover-and-refuter race on the Figure 7 sparse-matrix suite plus a
-//! family of overlapping-path queries the axioms alone can never settle.
+//! Portfolio Maybe-rate: the axiomatic prover alone vs. the staged
+//! portfolio (the prover, then the refuter on the prover's Maybes) on the
+//! Figure 7 sparse-matrix suite plus a family of overlapping-path queries
+//! the axioms alone can never settle.
 //!
 //! The axiomatic prover is refutation-free: a query whose paths *do*
 //! collide (an identical-path self query, a chain walk against its own
@@ -141,7 +142,7 @@ pub struct PortfolioBenchResult {
     pub witnesses_produced: usize,
     /// Of those, how many passed independent re-validation.
     pub witnesses_validated: usize,
-    /// Per-engine race tallies from the portfolio column.
+    /// Per-engine run tallies from the portfolio column.
     pub stats: PortfolioStats,
 }
 
@@ -209,7 +210,7 @@ pub fn run(config: &PortfolioBenchConfig) -> PortfolioBenchResult {
     let queries = suite(config.depth);
 
     let solo = DepEngine::with_config(axioms.clone(), ProverConfig::default());
-    let racer = Portfolio::new(
+    let staged = Portfolio::new(
         DepEngine::with_config(axioms.clone(), ProverConfig::default()),
         PortfolioConfig {
             refuter_max_heap: config.refuter_max_heap,
@@ -225,16 +226,16 @@ pub fn run(config: &PortfolioBenchConfig) -> PortfolioBenchResult {
     for q in &queries {
         let dep = DepQuery::disjoint(&q.a, &q.b).origin(q.origin);
         let base = solo.run(&dep);
-        let raced = racer.run(&dep);
+        let out = staged.run(&dep);
         axiomatic.bump(base.verdict.answer);
-        portfolio.bump(raced.verdict.answer);
+        portfolio.bump(out.verdict.answer);
         if base.verdict.answer != Answer::Maybe
-            && raced.verdict.answer != Answer::Maybe
-            && base.verdict.answer != raced.verdict.answer
+            && out.verdict.answer != Answer::Maybe
+            && base.verdict.answer != out.verdict.answer
         {
             definite_agreement = false;
         }
-        if let Some(witness) = &raced.witness {
+        if let Some(witness) = &out.witness {
             witnesses_produced += 1;
             if witness.validate(&axioms, q.origin, &q.a, &q.b).is_ok() {
                 witnesses_validated += 1;
@@ -248,7 +249,7 @@ pub fn run(config: &PortfolioBenchConfig) -> PortfolioBenchResult {
         definite_agreement,
         witnesses_produced,
         witnesses_validated,
-        stats: racer.stats(),
+        stats: staged.stats(),
     }
 }
 

@@ -219,10 +219,10 @@ impl PortfolioOpts {
     }
 }
 
-/// Renders the per-engine race tallies (the `apt report` / `apt batch`
-/// portfolio footer).
+/// Renders the per-engine run tallies (the `apt report` / `apt batch`
+/// portfolio footer): each engine run counts once, as a win or a loss.
 fn render_portfolio_stats(out: &mut String, stats: &PortfolioStats) {
-    let _ = writeln!(out, "-- portfolio: engine races --");
+    let _ = writeln!(out, "-- portfolio: engine runs --");
     for kind in EngineKind::ALL {
         let t = stats.tally(kind);
         let _ = writeln!(
@@ -270,13 +270,13 @@ pub fn cmd_prove(
     if widened {
         let _ = writeln!(out, "engines: {}", portfolio.config.engines);
     }
-    let racer = Portfolio::new(
+    let runner = Portfolio::new(
         DepEngine::with_config(axioms, config.clone()),
         portfolio.config.clone(),
     )
     .with_tallies(&portfolio.tallies);
-    let axioms = racer.engine().axioms();
-    let outcome = racer.run(&DepQuery::disjoint(&a, &b).origin(origin));
+    let axioms = runner.engine().axioms();
+    let outcome = runner.run(&DepQuery::disjoint(&a, &b).origin(origin));
     match outcome.verdict.answer {
         Answer::No => {
             // Every engine-issued No comes from the axiomatic prover,
@@ -1032,13 +1032,13 @@ USAGE:
 
 PORTFOLIO FLAGS (prove / query / report / batch / analyze; on `serve`
 they set the server's default engine roster):
-  --engines <spec>        race the selected engines per query and adopt
-                          the first definite verdict: 'all', or a comma
+  --engines <spec>        the engines a query may use: 'all', or a comma
                           list of axiomatic, refuter. The axiomatic
                           prover alone is the default; it answers
                           definite No with a checked proof. refuter
                           answers definite Yes with a concrete witness
-                          heap (re-validated before it is believed).
+                          heap (re-validated before it is believed), and
+                          runs only on queries the prover leaves Maybe.
   --refuter-max-heap <n>  largest candidate heap the refuter enumerates,
                           in nodes (default 8); implies --engines all
                           when --engines is absent

@@ -6,29 +6,29 @@
 //!
 //! * **axiomatic** — the induction prover behind [`DepEngine`]; answers
 //!   `No` (disjoint, with a machine-checkable [`crate::Proof`]) or `Yes`
-//!   (equality queries). An axiomatic-only roster runs the engine inline
-//!   on the caller's thread and is the pre-portfolio query path.
+//!   (equality queries). An axiomatic-only roster is the pre-portfolio
+//!   query path.
 //! * **refuter** — the [`crate::refuter`] bounded concrete-heap search;
 //!   answers `Yes` (a definite dependence) with an attached [`Witness`]
 //!   heap that re-validates independently.
 //!
-//! With both engines rostered they race: the first definite verdict
-//! cancels the loser through a private race token; the caller's own
-//! token keeps working because the coordinator forwards external
-//! cancellation into the race. Engines never share mutable state: the
-//! refuter holds no handle to the engine's shared proof cache, and the
-//! axiomatic prover publishes definite results only, so a cancelled
-//! backend cannot pollute anything (`cancelled ⇒ Maybe ⇒` nothing
+//! With both engines rostered a query runs staged, on the caller's
+//! thread: the axiomatic prover first, and the refuter only on a
+//! disjointness query the prover left `Maybe`, under what is left of the
+//! query's deadline. Both stages read the caller's own budget, so its
+//! cancel token reaches them directly. Engines never share mutable
+//! state: the refuter holds no handle to the engine's shared proof cache,
+//! and the axiomatic prover publishes definite results only, so a
+//! cancelled run cannot pollute anything (`cancelled ⇒ Maybe ⇒` nothing
 //! published).
 //!
 //! Every definite verdict carries a certificate: an engine-issued `No`
 //! comes from the axiomatic prover with a checkable proof, and a refuter
 //! `Yes` carries a concrete heap checked by [`apt_axioms::check_set`]
 //! plus path re-execution. The two certificates exclude each other, so
-//! definite verdicts can never disagree unless an engine is unsound —
-//! debug builds assert it.
+//! definite verdicts can never disagree unless an engine is unsound.
 
-use crate::config::{Budget, CancelToken, ProverStats};
+use crate::config::{Budget, ProverStats};
 use crate::deptest::Answer;
 use crate::engine::{run_deduped, DepEngine, DepQuery, Outcome, QueryKind};
 use crate::goal::Origin;
@@ -40,9 +40,8 @@ use apt_axioms::AxiomSet;
 use apt_regex::{Path, Symbol};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Which backend produced an [`Outcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -416,7 +415,7 @@ pub struct EngineTally {
     pub wins: u64,
     /// Runs that ended without settling their query.
     pub losses: u64,
-    /// Losses that ended cancelled (almost always: a rival won first).
+    /// Losses that ended because the caller cancelled the query.
     pub cancelled: u64,
 }
 
@@ -507,10 +506,6 @@ impl fmt::Debug for TallySink {
     }
 }
 
-/// How often the race coordinator polls the caller's own cancel token
-/// while waiting on engine results.
-const COORDINATOR_POLL: Duration = Duration::from_millis(5);
-
 /// The query executor over a [`DepEngine`]: runs each query on its
 /// roster's engines and tallies every engine run.
 ///
@@ -584,65 +579,46 @@ impl Portfolio {
             .unwrap_or(&self.engine.config().budget)
     }
 
-    /// Runs one engine on `query`. Inside a race, `race` replaces the
-    /// budget's cancel token; outside one the query runs under its own
-    /// budget, untouched.
-    fn run_engine(
-        &self,
-        kind: EngineKind,
-        query: &DepQuery,
-        race: Option<&CancelToken>,
-    ) -> Outcome {
-        let raced = race.map(|token| {
-            let mut budget = self.budget(query).clone();
-            budget.cancel = Some(token.clone());
-            budget
-        });
-        match (kind, raced) {
-            (EngineKind::Axiomatic, None) => self.engine.run(query),
-            (EngineKind::Axiomatic, Some(budget)) => {
-                self.engine.run(&query.clone().with_budget(budget))
-            }
-            (EngineKind::Refuter, raced) => {
-                let config = RefuterConfig {
-                    max_heap_nodes: self.config.refuter_max_heap,
-                    ..RefuterConfig::default()
-                };
-                let outcome = refuter::search(
-                    self.engine.axioms(),
-                    query.origin_relation(),
-                    query.a(),
-                    query.b(),
-                    raced.as_ref().unwrap_or_else(|| self.budget(query)),
-                    &config,
-                );
-                let (verdict, witness) = match outcome {
-                    RefuterOutcome::Witness(w) => (Verdict::definite(Answer::Yes), Some(w)),
-                    RefuterOutcome::Exhausted => (
-                        Verdict::maybe(MaybeReason::SearchExhausted(SearchLimit::Fuel)),
-                        None,
-                    ),
-                    RefuterOutcome::Stopped(reason) => (Verdict::maybe(reason), None),
-                };
-                let mut stats = ProverStats::default();
-                if let Some(reason) = verdict.reason {
-                    stats.cutoffs.record(reason);
-                }
-                Outcome {
-                    verdict,
-                    proof: None,
-                    stats,
-                    engine: EngineKind::Refuter,
-                    witness,
-                }
-            }
+    /// Runs the refuter on `query` under `budget`.
+    fn refute(&self, query: &DepQuery, budget: &Budget) -> Outcome {
+        let config = RefuterConfig {
+            max_heap_nodes: self.config.refuter_max_heap,
+            ..RefuterConfig::default()
+        };
+        let outcome = refuter::search(
+            self.engine.axioms(),
+            query.origin_relation(),
+            query.a(),
+            query.b(),
+            budget,
+            &config,
+        );
+        let (verdict, witness) = match outcome {
+            RefuterOutcome::Witness(w) => (Verdict::definite(Answer::Yes), Some(w)),
+            RefuterOutcome::Exhausted => (
+                Verdict::maybe(MaybeReason::SearchExhausted(SearchLimit::Fuel)),
+                None,
+            ),
+            RefuterOutcome::Stopped(reason) => (Verdict::maybe(reason), None),
+        };
+        let mut stats = ProverStats::default();
+        if let Some(reason) = verdict.reason {
+            stats.cutoffs.record(reason);
+        }
+        Outcome {
+            verdict,
+            proof: None,
+            stats,
+            engine: EngineKind::Refuter,
+            witness,
         }
     }
 
-    /// Tallies one engine run.
-    fn record(&self, kind: EngineKind, won: bool, outcome: &Outcome) {
+    /// Tallies one engine run: a win when its definite verdict settles
+    /// the query, a loss otherwise.
+    fn record(&self, kind: EngineKind, outcome: &Outcome) {
         let i = kind.index();
-        if won {
+        if outcome.is_definite() {
             self.counters.wins[i].fetch_add(1, Ordering::Relaxed);
         } else {
             self.counters.losses[i].fetch_add(1, Ordering::Relaxed);
@@ -657,101 +633,37 @@ impl Portfolio {
 
     /// Runs one engine alone, inline, under the query's own budget.
     fn run_alone(&self, kind: EngineKind, query: &DepQuery) -> Outcome {
-        let outcome = self.run_engine(kind, query, None);
-        self.record(kind, outcome.is_definite(), &outcome);
+        let outcome = match kind {
+            EngineKind::Axiomatic => self.engine.run(query),
+            EngineKind::Refuter => self.refute(query, self.budget(query)),
+        };
+        self.record(kind, &outcome);
         outcome
     }
 
-    /// Runs one query: a one-engine roster runs inline on the calling
-    /// thread; otherwise the rostered engines race, and the first
-    /// definite verdict wins and cancels the rest.
+    /// Runs one query, staged, on the calling thread: the axiomatic
+    /// prover first; a disjointness query it leaves `Maybe` then goes to
+    /// the refuter, which gets what is left of the query's deadline. A
+    /// refuter-only roster runs the refuter alone.
     pub fn run(&self, query: &DepQuery) -> Outcome {
         let roster = self.roster(query.kind());
-        if roster.count() == 1 {
-            let kind = if roster.axiomatic {
-                EngineKind::Axiomatic
-            } else {
-                EngineKind::Refuter
-            };
-            return self.run_alone(kind, query);
+        if !roster.axiomatic {
+            return self.run_alone(EngineKind::Refuter, query);
         }
-
-        let race = CancelToken::new();
-        let parent = query
-            .budget_override()
-            .and_then(|b| b.cancel.clone())
-            .or_else(|| self.engine.config().budget.cancel.clone());
-        let (tx, rx) = mpsc::channel::<(EngineKind, Outcome)>();
-
-        let mut results: Vec<(EngineKind, Outcome)> = crossbeam::thread::scope(|scope| {
-            for kind in EngineKind::ALL.into_iter().filter(|&k| roster.contains(k)) {
-                let tx = tx.clone();
-                let race = &race;
-                scope.spawn(move |_| {
-                    let outcome = self.run_engine(kind, query, Some(race));
-                    // A closed channel means the coordinator already
-                    // returned; the result is moot.
-                    let _ = tx.send((kind, outcome));
-                });
-            }
-            drop(tx);
-
-            let mut collected: Vec<(EngineKind, Outcome)> = Vec::with_capacity(roster.count());
-            let mut settled = false;
-            while collected.len() < roster.count() {
-                match rx.recv_timeout(COORDINATOR_POLL) {
-                    Ok((kind, outcome)) => {
-                        if !settled && outcome.is_definite() {
-                            settled = true;
-                            race.cancel();
-                        }
-                        collected.push((kind, outcome));
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // Forward the caller's cancellation into the race.
-                        if parent.as_ref().is_some_and(|p| p.is_cancelled()) {
-                            race.cancel();
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            collected
-        })
-        .expect("portfolio race thread panicked");
-
-        // The adopted outcome: the first definite in arrival order, else
-        // the axiomatic Maybe (it has the richest degradation pedigree),
-        // else whatever arrived first.
-        let winner_pos = results.iter().position(|(_, o)| o.is_definite());
-        debug_assert!(
-            {
-                let definite: Vec<&Answer> = results
-                    .iter()
-                    .filter(|(_, o)| o.is_definite())
-                    .map(|(_, o)| &o.verdict.answer)
-                    .collect();
-                definite.windows(2).all(|w| w[0] == w[1])
-            },
-            "definite verdicts disagree across engines: {results:?}"
-        );
-        for (i, (kind, outcome)) in results.iter().enumerate() {
-            self.record(*kind, Some(i) == winner_pos, outcome);
+        let started = Instant::now();
+        let mut outcome = self.run_alone(EngineKind::Axiomatic, query);
+        if outcome.is_definite() || !roster.refuter {
+            return outcome;
         }
-        let pos = winner_pos
-            .or_else(|| {
-                results
-                    .iter()
-                    .position(|(kind, _)| *kind == EngineKind::Axiomatic)
-            })
-            .unwrap_or(0);
-        let (_, mut adopted) = results.swap_remove(pos);
-        // Account the losers' work in the adopted outcome so batch-level
-        // stats reflect what the race actually cost.
-        for (_, outcome) in &results {
-            adopted.stats.merge(&outcome.stats);
-        }
-        adopted
+        let budget = self.budget(query);
+        let rest = budget.deadline.map(|d| Budget {
+            deadline: Some(d.saturating_sub(started.elapsed())),
+            ..budget.clone()
+        });
+        let followup = self.refute(query, rest.as_ref().unwrap_or(budget));
+        self.record(EngineKind::Refuter, &followup);
+        adopt(&mut outcome, followup);
+        outcome
     }
 
     /// Runs a batch, staged, through the engine's one dedup/fan-out
@@ -771,7 +683,7 @@ impl Portfolio {
             |shares| self.engine.make_prover(shares),
             |(_, prover), q| {
                 let outcome = q.run_with(prover);
-                self.record(EngineKind::Axiomatic, outcome.is_definite(), &outcome);
+                self.record(EngineKind::Axiomatic, &outcome);
                 outcome
             },
         );
@@ -788,17 +700,32 @@ impl Portfolio {
             |_| (),
             |(), q| self.run_alone(EngineKind::Refuter, q),
         );
-        for (slot, mut outcome) in followups.into_iter().zip(refuted) {
-            if outcome.is_definite() {
-                outcome.stats.merge(&outcomes[slot].stats);
-                outcomes[slot] = outcome;
-            } else {
-                // Keep the axiomatic outcome (richer pedigree), but
-                // account the follow-up work.
-                outcomes[slot].stats.merge(&outcome.stats);
-            }
+        for (slot, followup) in followups.into_iter().zip(refuted) {
+            adopt(&mut outcomes[slot], followup);
         }
         outcomes
+    }
+}
+
+/// The adoption rule for a refuter follow-up to an axiomatic `Maybe`: a
+/// definite refutation replaces the axiomatic outcome. Otherwise the
+/// axiomatic outcome stands, since its degradation pedigree is the
+/// richest, except that a follow-up stopped by the caller's deadline or
+/// cancellation passes on that reason: a retry with more budget could
+/// still settle the query. Either way the adopted outcome's stats account
+/// both runs.
+fn adopt(axiomatic: &mut Outcome, mut followup: Outcome) {
+    if followup.is_definite() {
+        followup.stats.merge(&axiomatic.stats);
+        *axiomatic = followup;
+        return;
+    }
+    axiomatic.stats.merge(&followup.stats);
+    if matches!(
+        followup.verdict.reason,
+        Some(MaybeReason::Cancelled | MaybeReason::DeadlineExceeded)
+    ) {
+        axiomatic.verdict = followup.verdict;
     }
 }
 
@@ -814,6 +741,7 @@ impl fmt::Debug for Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CancelToken;
     use apt_axioms::adds::leaf_linked_tree_axioms;
 
     fn p(s: &str) -> Path {
@@ -913,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn race_adopts_a_definite_verdict() {
+    fn staged_run_adopts_a_definite_verdict() {
         let portfolio = portfolio();
         // Provable disjointness: the axiomatic prover proves it; the
         // refuter cannot find a collision. The verdict must be No.
@@ -926,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn race_resolves_known_maybe_with_witness() {
+    fn refuter_stage_resolves_known_maybe_with_witness() {
         let portfolio = portfolio();
         // Identical overlapping paths: the prover can only say Maybe,
         // the refuter finds a concrete collision.
@@ -943,6 +871,32 @@ mod tests {
         )
         .expect("witness must re-validate");
         assert!(portfolio.stats().witnesses >= 1);
+    }
+
+    #[test]
+    fn refuter_verdicts_do_not_depend_on_field_interning_order() {
+        // One tree axiom set, written with its sibling fields in either
+        // order. Each set uses fields no other test interns, so parsing
+        // it decides their interning order: name order for the first,
+        // reverse name order for the second.
+        for (left, right) in [("ordA", "ordB"), ("ordD", "ordC")] {
+            let text = format!(
+                "A1: forall p, p.{left} <> p.{right}\n\
+                 A2: forall p <> q, p.({left}|{right}) <> q.({left}|{right})\n\
+                 A3: forall p, p.({left}|{right})+ <> p.eps"
+            );
+            let portfolio = Portfolio::new(
+                DepEngine::new(AxiomSet::parse(&text).unwrap()),
+                PortfolioConfig::default(),
+            );
+            // The larger-named field alone lies in the starred language,
+            // so the shortest witness is a single edge.
+            let larger = left.max(right);
+            let q = DepQuery::disjoint(&p(&format!("({left}|{right})+")), &p(larger));
+            let out = portfolio.run(&q);
+            assert_eq!(out.verdict.answer, Answer::Yes, "{text}: {out:?}");
+            assert_eq!(out.engine, EngineKind::Refuter, "{text}");
+        }
     }
 
     #[test]
@@ -978,10 +932,26 @@ mod tests {
     }
 
     #[test]
-    fn first_definite_cancels_losers_within_bounded_delay() {
-        // Starred paths under a refuter cap of 24 nodes give the refuter
-        // hundreds of candidate heaps to model-check; the axiomatic
-        // winner, done in milliseconds, must cancel it mid-search.
+    fn proven_queries_never_start_the_refuter() {
+        let portfolio = portfolio();
+        let q = DepQuery::disjoint(&p("L.L*"), &p("R.R*")).origin(Origin::Same);
+        let out = portfolio.run(&q);
+        assert_eq!(out.verdict.answer, Answer::No);
+        let stats = portfolio.stats();
+        assert_eq!(
+            stats.refuter,
+            EngineTally::default(),
+            "a proven query leaves the refuter unstarted: {stats:?}"
+        );
+        assert_eq!(out.stats.cutoffs, Default::default(), "{:?}", out.stats);
+    }
+
+    #[test]
+    fn caller_cancellation_stops_the_refuter_stage_within_bounded_delay() {
+        // Starved of fuel, the prover leaves the query Maybe at once; under
+        // a 24-node cap the refuter then model-checks thousands of
+        // candidate heaps, none a witness. A caller token cancelled from
+        // another thread once the axiomatic run is tallied must stop it.
         let portfolio = Portfolio::new(
             DepEngine::new(leaf_linked_tree_axioms()),
             PortfolioConfig {
@@ -989,20 +959,63 @@ mod tests {
                 ..PortfolioConfig::default()
             },
         );
-        let q = DepQuery::disjoint(&p("L.L*"), &p("R.R*")).origin(Origin::Same);
-        let started = std::time::Instant::now();
+        let token = CancelToken::new();
+        let q = DepQuery::disjoint(&p("L.L*"), &p("R.R*"))
+            .origin(Origin::Distinct)
+            .with_budget(Budget::new().with_fuel(1).with_cancel(token.clone()));
+        let tallies = portfolio.tallies();
+        let canceller = std::thread::spawn(move || {
+            while tallies.stats().axiomatic.losses == 0 {
+                std::thread::yield_now();
+            }
+            token.cancel();
+            Instant::now()
+        });
         let out = portfolio.run(&q);
+        let delay = canceller.join().unwrap().elapsed();
         assert!(
-            started.elapsed() < std::time::Duration::from_secs(30),
-            "race did not settle promptly: {:?}",
-            started.elapsed()
+            delay < std::time::Duration::from_secs(5),
+            "the refuter stage ran on {delay:?} after cancellation"
         );
-        assert_eq!(out.verdict.answer, Answer::No);
+        assert_eq!(out.verdict, Verdict::maybe(MaybeReason::Cancelled));
         let stats = portfolio.stats();
         assert_eq!(
-            stats.refuter.cancelled, 1,
-            "the losing refuter must record a cancellation: {stats:?}"
+            stats.refuter,
+            EngineTally {
+                wins: 0,
+                losses: 1,
+                cancelled: 1
+            },
+            "{stats:?}"
         );
+        assert_eq!(stats.axiomatic.cancelled, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn refuter_stage_gets_only_what_is_left_of_the_deadline() {
+        // A deadline the axiomatic stage has already spent: the refuter
+        // stops at its first poll instead of settling this refutable
+        // query.
+        let portfolio = portfolio();
+        let q = DepQuery::disjoint(&p("L.L.N"), &p("L.L.N"))
+            .with_budget(Budget::new().with_deadline(std::time::Duration::ZERO));
+        let out = portfolio.run(&q);
+        assert_eq!(out.verdict, Verdict::maybe(MaybeReason::DeadlineExceeded));
+        let stats = portfolio.stats();
+        assert_eq!(
+            stats.refuter,
+            EngineTally {
+                wins: 0,
+                losses: 1,
+                cancelled: 0
+            },
+            "{stats:?}"
+        );
+        assert_eq!(stats.witnesses, 0);
+        assert_eq!(out.stats.cutoffs.fuel, 0, "the refuter never searched");
+        // With time left over, the same refuter stage settles the query.
+        let q = q.with_budget(Budget::new().with_deadline(std::time::Duration::from_secs(600)));
+        assert_eq!(portfolio.run(&q).verdict.answer, Answer::Yes);
     }
 
     #[test]
@@ -1030,13 +1043,13 @@ mod tests {
     }
 
     #[test]
-    fn raced_engines_agree_with_their_solo_runs() {
+    fn staged_runs_agree_with_solo_runs() {
         let queries = [
             DepQuery::disjoint(&p("L.L.N"), &p("L.R.N")).origin(Origin::Same),
             DepQuery::disjoint(&p("L.L.N"), &p("L.L.N")).origin(Origin::Same),
         ];
         for q in &queries {
-            let raced = portfolio().run(q);
+            let staged = portfolio().run(q);
             for kind in EngineKind::ALL {
                 let solo = Portfolio::new(
                     DepEngine::new(leaf_linked_tree_axioms()),
@@ -1049,10 +1062,10 @@ mod tests {
                     },
                 )
                 .run(q);
-                if solo.is_definite() && raced.is_definite() {
+                if solo.is_definite() && staged.is_definite() {
                     assert_eq!(
-                        solo.verdict.answer, raced.verdict.answer,
-                        "solo {kind} disagrees with the race on {q:?}"
+                        solo.verdict.answer, staged.verdict.answer,
+                        "solo {kind} disagrees with the staged run on {q:?}"
                     );
                 }
             }
@@ -1061,17 +1074,37 @@ mod tests {
 
     #[test]
     fn tallies_accumulate() {
+        // Proven: one axiomatic run, a win; the refuter never starts.
         let portfolio = portfolio();
-        let q = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N"));
-        let _ = portfolio.run(&q);
+        let _ = portfolio.run(&DepQuery::disjoint(&p("L.L.N"), &p("L.R.N")));
         let stats = portfolio.stats();
-        let total: u64 = EngineKind::ALL
-            .iter()
-            .map(|&k| stats.tally(k).wins + stats.tally(k).losses)
-            .sum();
-        assert_eq!(total, 2, "both engines must be accounted: {stats:?}");
-        let wins: u64 = EngineKind::ALL.iter().map(|&k| stats.tally(k).wins).sum();
-        assert_eq!(wins, 1, "exactly one winner: {stats:?}");
+        assert_eq!(
+            stats.axiomatic,
+            EngineTally {
+                wins: 1,
+                ..Default::default()
+            }
+        );
+        assert_eq!(stats.refuter, EngineTally::default(), "{stats:?}");
+        // Refuted: an axiomatic loss, then a refuter win.
+        let _ = portfolio.run(&DepQuery::disjoint(&p("L.L.N"), &p("L.L.N")));
+        let stats = portfolio.stats();
+        assert_eq!(
+            stats.axiomatic,
+            EngineTally {
+                wins: 1,
+                losses: 1,
+                cancelled: 0
+            }
+        );
+        assert_eq!(
+            stats.refuter,
+            EngineTally {
+                wins: 1,
+                ..Default::default()
+            }
+        );
+        assert_eq!(stats.witnesses, 1);
         assert_eq!(
             stats.dyck,
             EngineTally::default(),

@@ -11,20 +11,21 @@
 //! Blind enumeration of k-node heaps is hopeless (heaps over `n` nodes
 //! and `f` fields number `(n+1)^(n·f)`; 244 million at `n = 4, f = 3`),
 //! so the search here is goal-directed: enumerate bounded *word pairs*
-//! `(u, v) ∈ L(a) × L(b)` with [`words_up_to`], and for each pair build
-//! only the candidate heaps in which `origin.u` and `origin.v` land on
-//! the same node — chains, shared-prefix merges, and (for distinct
-//! origins) placements of the second origin along the first chain. Each
-//! candidate is then judged by the *existing* trusted machinery:
-//! [`check_set`] must accept the heap under the full axiom set, and the
-//! collision is re-executed with [`HeapGraph::targets`] before it is
-//! surfaced as a [`Witness`]. The refuter can therefore never be wrong
-//! about a `Yes` — a bad candidate is merely skipped — and its verdicts
-//! are re-validated downstream exactly like proofs are re-checked under
-//! the forged-proof discipline.
+//! `(u, v) ∈ L(a) × L(b)` with [`shortest_words`], and for each pair
+//! build only the candidate heaps in which `origin.u` and `origin.v` land
+//! on the same node — chains, shared-prefix merges, and (for distinct
+//! origins) placements of the second origin along the first chain. Words
+//! come shortest first, ties by field name, so the `max_words` kept never
+//! depend on the order fields were interned in. Each candidate is then
+//! judged by the *existing* trusted machinery: [`check_set`] must accept
+//! the heap under the full axiom set, and the collision is re-executed
+//! with [`HeapGraph::targets`] before it is surfaced as a [`Witness`]. The
+//! refuter can therefore never be wrong about a `Yes` — a bad candidate is
+//! merely skipped — and its verdicts are re-validated downstream exactly
+//! like proofs are re-checked under the forged-proof discipline.
 //!
 //! [`check_set`]: apt_axioms::check_set
-//! [`words_up_to`]: apt_regex::sample::words_up_to
+//! [`shortest_words`]: apt_regex::sample::shortest_words
 
 use crate::config::Budget;
 use crate::goal::Origin;
@@ -33,7 +34,7 @@ use crate::verdict::{MaybeReason, SearchLimit};
 use apt_axioms::check::check_set;
 use apt_axioms::graph::{HeapGraph, NodeId};
 use apt_axioms::AxiomSet;
-use apt_regex::sample::words_up_to;
+use apt_regex::sample::shortest_words;
 use apt_regex::{Path, Symbol};
 use std::time::Instant;
 
@@ -191,10 +192,8 @@ pub fn search(
 ) -> RefuterOutcome {
     let max_nodes = config.max_heap_nodes.max(1);
     let max_len = max_nodes.saturating_sub(1);
-    let mut words_a = words_up_to(&a.to_regex(), max_len);
-    let mut words_b = words_up_to(&b.to_regex(), max_len);
-    words_a.truncate(config.max_words);
-    words_b.truncate(config.max_words);
+    let words_a = shortest_words(&a.to_regex(), max_len, config.max_words);
+    let words_b = shortest_words(&b.to_regex(), max_len, config.max_words);
     if words_a.is_empty() || words_b.is_empty() {
         // One language is empty below the bound: no collision witness
         // can exist at this size.

@@ -226,7 +226,7 @@ pub struct WireQuery {
     pub want_proof: bool,
     /// Per-query budget overrides.
     pub budget: WireBudget,
-    /// Per-query engine selection (`"engines"` on the wire): race the
+    /// Per-query engine selection (`"engines"` on the wire): run the
     /// named backends instead of the server's default roster.
     pub engines: Option<EngineSelection>,
 }
@@ -599,7 +599,8 @@ pub fn outcome_json(outcome: &Outcome, include_proof: bool) -> Json {
     ])
 }
 
-/// Renders cumulative per-engine race tallies for the `stats` verb.
+/// Renders cumulative per-engine run tallies for the `stats` verb: each
+/// engine run counts once, as a win or a loss.
 pub fn portfolio_json(stats: &PortfolioStats) -> Json {
     let tally = |t: EngineTally| {
         obj(vec![

@@ -505,15 +505,15 @@ trap - EXIT
 rm -rf "$ANDIR"
 
 echo "==> portfolio smoke: --engines all parity + refuter resolves a Maybe + no dyck"
-# Racing the engines must not change a definite answer: the provable
+# Staging the engines must not change a definite answer: the provable
 # Figure 3 pair stays No (exit 0) under --engines all.
-solo_rc=0; raced_rc=0
+solo_rc=0; staged_rc=0
 "$APT" prove examples/programs/llt.adds L.L.N L.R.N >/dev/null || solo_rc=$?
 "$APT" prove examples/programs/llt.adds L.L.N L.R.N --engines all >/dev/null \
-    || raced_rc=$?
-if [[ "$solo_rc" -ne 0 || "$raced_rc" -ne 0 ]]; then
+    || staged_rc=$?
+if [[ "$solo_rc" -ne 0 || "$staged_rc" -ne 0 ]]; then
     echo "error: --engines all changed a definite verdict" \
-        "(solo exit $solo_rc, raced exit $raced_rc)" >&2
+        "(solo exit $solo_rc, staged exit $staged_rc)" >&2
     exit 1
 fi
 # A known axiomatic Maybe (identical overlapping paths) must exit 1
@@ -526,14 +526,47 @@ if [[ "$maybe_rc" -ne 1 ]]; then
         "got exit $maybe_rc" >&2
     exit 1
 fi
-raced_out=$("$APT" prove examples/programs/llt.adds L.L.N L.L.N --engines all)
-if ! grep -q 'engine: refuter' <<<"$raced_out" \
-    || ! grep -q 're-validated' <<<"$raced_out"; then
+staged_out=$("$APT" prove examples/programs/llt.adds L.L.N L.L.N --engines all)
+if ! grep -q 'engine: refuter' <<<"$staged_out" \
+    || ! grep -q 're-validated' <<<"$staged_out"; then
     echo "error: the refuter did not resolve the known Maybe with a" \
         "validated witness:" >&2
-    echo "$raced_out" >&2
+    echo "$staged_out" >&2
     exit 1
 fi
+# The refuter starts only on queries the prover leaves Maybe, so the
+# report footer is the same on every run, with no refuter runs.
+footer() {
+    "$APT" report examples/programs/factor.apt --engines all \
+        | sed -n '/^-- portfolio: engine runs --$/,/^(dependence witnesses/p'
+}
+footer1=$(footer); footer2=$(footer)
+if [[ "$footer1" != "$footer2" ]] \
+    || ! grep -qx 'refuter    0 won, 0 lost, 0 cancelled' <<<"$footer1"; then
+    echo "error: the --engines all report footer varies or runs the refuter:" >&2
+    echo "$footer1" >&2
+    echo "$footer2" >&2
+    exit 1
+fi
+# Refuter verdicts must not depend on the order fields were interned in:
+# one tree axiom set with its sibling fields written either way round.
+ORDERDIR=$(mktemp -d /tmp/apt-axiom-order.XXXXXX)
+trap 'rm -rf "$ORDERDIR"' EXIT
+for pair in "L R" "R L"; do
+    read -r first second <<<"$pair"
+    printf '%s\n' "A1: forall p, p.$first <> p.$second" \
+        "A2: forall p <> q, p.(L|R) <> q.(L|R)" \
+        "A3: forall p, p.(L|R)+ <> p.eps" >"$ORDERDIR/$first$second.ax"
+    order_out=$("$APT" prove "$ORDERDIR/$first$second.ax" "(L|R)+" R --engines all \
+        || true)
+    if ! grep -q 'engine: refuter' <<<"$order_out"; then
+        echo "error: written as p.$first <> p.$second, the tree axioms" \
+            "left (L|R)+ vs R unrefuted" >&2
+        exit 1
+    fi
+done
+trap - EXIT
+rm -rf "$ORDERDIR"
 # The Dyck engine is retired: naming it is a usage error (exit 2).
 dyck_rc=0
 "$APT" prove examples/programs/llt.adds L.L.N L.R.N --engines dyck >/dev/null 2>&1 \

@@ -92,3 +92,38 @@ fn retired_dyck_engine_is_a_usage_error() {
         );
     }
 }
+
+#[test]
+fn report_engine_footer_is_deterministic() {
+    // Staged runs start the refuter only on a disjointness query the
+    // prover leaves Maybe; these reports have none, so the refuter never
+    // runs and the footer cannot vary from run to run.
+    for program in ["factor.apt", "subr.apt", "twoproc.apt"] {
+        let file = format!("{}/examples/programs/{program}", env!("CARGO_MANIFEST_DIR"));
+        let args: Vec<String> = ["report", &file, "--engines", "all"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let footer = || {
+            let text = run(&args).expect("runs").text;
+            let start = text
+                .find("-- portfolio: engine runs --")
+                .unwrap_or_else(|| panic!("{program}: no footer in {text}"));
+            text[start..]
+                .lines()
+                .take_while(|l| !l.starts_with("(dependence witnesses"))
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        };
+        let first = footer();
+        assert!(
+            first
+                .iter()
+                .any(|l| l == "refuter    0 won, 0 lost, 0 cancelled"),
+            "{program}: {first:?}"
+        );
+        for _ in 0..2 {
+            assert_eq!(footer(), first, "{program}");
+        }
+    }
+}
