@@ -157,6 +157,17 @@ impl SharedCache {
         guard.get(goal).cloned()
     }
 
+    /// Whether `goal` is settled here as proved (`Some(true)`) or as
+    /// cleanly failed (`Some(false)`): [`SharedCache::lookup_goal`]
+    /// without cloning the proof.
+    pub(crate) fn peek_goal(&self, goal: &Goal) -> Option<bool> {
+        let shard = &self.goals[shard_index(goal, GOAL_SHARDS)];
+        let guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        guard
+            .get(goal)
+            .map(|verdict| matches!(verdict, SharedVerdict::Proved(_)))
+    }
+
     pub(crate) fn publish_goal(&self, goal: &Goal, verdict: SharedVerdict) {
         let shard = &self.goals[shard_index(goal, GOAL_SHARDS)];
         let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);

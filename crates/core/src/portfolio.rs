@@ -28,10 +28,10 @@
 //! plus path re-execution. The two certificates exclude each other, so
 //! definite verdicts can never disagree unless an engine is unsound.
 
-use crate::config::{Budget, ProverStats};
+use crate::config::{Budget, CancelToken, ProverStats};
 use crate::deptest::Answer;
 use crate::engine::{run_deduped, DepEngine, DepQuery, Outcome, QueryKind};
-use crate::goal::Origin;
+use crate::goal::{Goal, Origin};
 use crate::refuter::{self, RefuterConfig, RefuterOutcome};
 use crate::verdict::{MaybeReason, SearchLimit, Verdict};
 use apt_axioms::check::check_set;
@@ -41,7 +41,7 @@ use apt_regex::{Path, Symbol};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which backend produced an [`Outcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -572,6 +572,36 @@ impl Portfolio {
         }
     }
 
+    /// Whether [`Portfolio::run`] would answer `query` by reading the
+    /// engine's shared proof cache alone: a disjointness query on the
+    /// axiomatic prover whose canonical root goal is cached as proved, or
+    /// as cleanly failed with no refuter stage to follow. A budget that is
+    /// already spent (cancelled, or a zero deadline) stops the run before
+    /// it reads the cache, so such a query is not settled. Takes one shard
+    /// lock and clones no proof; shared entries are never removed, so the
+    /// answer cannot go stale before the run.
+    pub fn settled(&self, query: &DepQuery) -> bool {
+        let roster = self.roster(query.kind());
+        let budget = self.budget(query);
+        let cancelled = budget
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled);
+        let spent = cancelled || budget.deadline == Some(Duration::ZERO);
+        if query.kind() != QueryKind::Disjoint || !roster.axiomatic || spent {
+            return false;
+        }
+        let root = Goal::new(
+            query.origin_relation(),
+            query.a().clone(),
+            query.b().clone(),
+        );
+        match self.engine.shared_cache().peek_goal(&root) {
+            Some(proved) => proved || !roster.refuter,
+            None => false,
+        }
+    }
+
     /// The budget `query` runs under: its override, else the engine's.
     fn budget<'a>(&'a self, query: &'a DepQuery) -> &'a Budget {
         query
@@ -741,7 +771,6 @@ impl fmt::Debug for Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CancelToken;
     use apt_axioms::adds::leaf_linked_tree_axioms;
 
     fn p(s: &str) -> Path {
@@ -1150,6 +1179,58 @@ mod tests {
             2,
             "{stats:?}"
         );
+    }
+
+    #[test]
+    fn settled_queries_are_answered_from_the_shared_cache_alone() {
+        let engine = DepEngine::new(leaf_linked_tree_axioms());
+        let solo = Portfolio::new(engine.clone(), PortfolioConfig::axiomatic_only());
+        let all = Portfolio::new(engine, PortfolioConfig::default());
+        let proved = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N"));
+        // The canonical root is what the cache holds: the mirrored query
+        // is the same goal.
+        let mirrored = DepQuery::disjoint(&p("L.R.N"), &p("L.L.N"));
+        let failed = DepQuery::disjoint(&p("L.L.N"), &p("L.L.N"));
+        assert!(!solo.settled(&proved), "a cold engine settles nothing");
+        let cold = solo.run(&proved);
+        assert_eq!(cold.verdict.answer, Answer::No);
+        assert!(cold.stats.goals_attempted > 0);
+        assert!(solo.settled(&proved) && solo.settled(&mirrored));
+        assert!(
+            all.settled(&proved),
+            "a proved root never reaches the refuter"
+        );
+        let warm = solo.run(&mirrored);
+        assert_eq!(warm.verdict.answer, Answer::No);
+        assert_eq!(
+            (warm.stats.goals_attempted, warm.stats.shared_hits),
+            (0, 1),
+            "{:?}",
+            warm.stats
+        );
+
+        // A clean failure settles the prover alone; the refuter would
+        // still follow it.
+        let maybe = solo.run(&failed);
+        assert_eq!(maybe.verdict, Verdict::maybe(MaybeReason::GenuinelyUnknown));
+        assert!(solo.settled(&failed));
+        assert!(!all.settled(&failed));
+        let again = solo.run(&failed);
+        assert_eq!(again.verdict, maybe.verdict);
+        assert_eq!(again.stats.goals_attempted, 0, "{:?}", again.stats);
+
+        // Equality queries never read the goal cache, and a spent budget
+        // stops the run before it does.
+        assert!(!solo.settled(&DepQuery::equal(&p("L"), &p("L"))));
+        let token = CancelToken::new();
+        token.cancel();
+        for spent in [
+            Budget::new().with_cancel(token),
+            Budget::new().with_deadline(Duration::ZERO),
+        ] {
+            assert!(!solo.settled(&proved.clone().with_budget(spent)));
+        }
+        assert!(solo.settled(&proved.with_budget(Budget::new().with_fuel(0))));
     }
 
     #[test]

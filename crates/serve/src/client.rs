@@ -287,8 +287,12 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn roundtrip_raw(&mut self, line: &str) -> Result<Json, ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per frame: the socket is unbuffered, and a separate
+        // write for the newline would reach the daemon as a second piece.
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes())?;
         self.writer.flush()?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;

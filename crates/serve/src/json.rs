@@ -339,6 +339,19 @@ impl<'a> Parser<'a> {
         self.pos += 1; // opening quote
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control byte in one step. Those bytes are
+            // ASCII, so the run ends on a character boundary.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            match std::str::from_utf8(&rest[..run]) {
+                Ok(plain) => out.push_str(plain),
+                Err(_) => return Err(self.err("invalid UTF-8")),
+            }
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -385,25 +398,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = match std::str::from_utf8(rest) {
-                        Ok(s) => s,
-                        Err(_) => return Err(self.err("invalid UTF-8")),
-                    };
-                    match s.chars().next() {
-                        Some(c) => {
-                            if (c as u32) < 0x20 {
-                                return Err(self.err("unescaped control character"));
-                            }
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err(self.err("unterminated string")),
-                    }
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -503,6 +498,51 @@ mod tests {
         // Depth bomb: must error, not overflow the stack.
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn string_errors_name_the_offending_byte() {
+        for (bad, offset, message) in [
+            ("\"ab\u{1}c\"", 3, "unescaped control character"),
+            ("\"é\tx\"", 3, "unescaped control character"),
+            ("\"abc", 4, "unterminated string"),
+            ("\"é😀", 7, "unterminated string"),
+            (r#""a\qb""#, 3, "invalid escape"),
+            (r#""a\u12x4""#, 6, "expected four hex digits"),
+            (r#""\ud800x""#, 7, "lone high surrogate"),
+            (r#"{"k":"v","é":"w\"#, 17, "invalid escape"),
+            (r#"{"k":"v","é":"w"#, 16, "unterminated string"),
+        ] {
+            let e = parse(bad).unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (offset, message), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A frame carrying a string over 1 MiB, with multi-byte characters
+        // and escapes between its plain runs. Parsing used to re-validate
+        // the rest of the input for every character copied: tens of
+        // seconds at this size.
+        let body = "plain é😀 \"quoted\"\n\t\\ ".repeat(45_000);
+        assert!(body.len() > 1 << 20);
+        let text = obj(vec![
+            ("verb", "report".into()),
+            ("program", body.as_str().into()),
+        ])
+        .render();
+        let started = std::time::Instant::now();
+        let frame = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            frame.get("program").and_then(Json::as_str),
+            Some(body.as_str())
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "a {} byte frame took {elapsed:?} to parse",
+            text.len()
+        );
     }
 
     #[test]

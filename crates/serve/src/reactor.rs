@@ -24,12 +24,19 @@
 //!   empty; a partial frame must complete within one deadline of its
 //!   first byte.
 //! * **Workers** never touch sockets. The reactor parses a frame and
-//!   either answers inline (control verbs) or submits a job to the
+//!   either answers inline (control verbs, and `prove` queries already
+//!   settled in the session's proof cache) or submits a job to the
 //!   bounded pool; the worker pushes the finished frame onto a
 //!   completion queue and rings the reactor's eventfd
 //!   [`crate::poll::Waker`]. Disconnects cancel the connection's
 //!   [`CancelToken`], aborting in-flight proofs exactly as the threaded
 //!   implementation did.
+//! * **Turns.** One read can queue hundreds of lines, and inline
+//!   answers are reactor work, so a connection dispatches at most
+//!   [`LINES_PER_TURN`] lines at a time; the rest wait in a turn queue
+//!   until the other connections' events have been handled. A client
+//!   pipelining a burst of settled queries cannot hold back everyone
+//!   else's replies until its burst is done.
 //!
 //! Shutdown (the `shutdown` verb or
 //! [`crate::server::ServerHandle::stop`]) also rides the waker: the
@@ -65,6 +72,12 @@ const OUTBUF_HIGH: usize = 256 * 1024;
 const OUTBUF_LOW: usize = 64 * 1024;
 /// Read chunk size per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
+/// Lines one connection may have dispatched per turn of the event loop.
+/// An inline answer (a control verb, a settled `prove`) is reactor work,
+/// and one read can queue hundreds of lines: past this many, the
+/// connection's remaining lines wait until every other ready connection
+/// has had its turn.
+const LINES_PER_TURN: usize = 8;
 /// Timer-wheel slot granularity: deadlines fire within one tick of
 /// expiry, which is plenty for idle timeouts measured in hundreds of
 /// milliseconds to minutes.
@@ -313,6 +326,9 @@ struct Conn {
     pending: VecDeque<(String, Instant)>,
     /// A pooled job is running for this connection.
     busy: bool,
+    /// Its turn ran out with lines still queued; it is in
+    /// `Reactor::turns`.
+    awaiting_turn: bool,
     /// Cancelled when the connection closes; aborts in-flight proofs.
     cancel: CancelToken,
     /// Authoritative read deadline (the wheel holds only hints).
@@ -341,6 +357,7 @@ impl Conn {
             outbuf: Vec::new(),
             pending: VecDeque::new(),
             busy: false,
+            awaiting_turn: false,
             cancel,
             deadline: None,
             in_wheel: false,
@@ -424,6 +441,12 @@ pub(crate) struct Reactor {
     ctx: Arc<Ctx>,
     listeners: Vec<Listener>,
     conns: HashMap<u64, Conn>,
+    /// Connections whose turn ran out with lines still queued, in the
+    /// order they get their next one.
+    turns: VecDeque<u64>,
+    /// Scratch for `read` calls, shared by every connection; what it
+    /// receives is copied into the connection's own buffer at once.
+    read_buf: Box<[u8]>,
     wheel: TimerWheel,
     next_token: u64,
     flush_tx: Option<Sender<FlushMsg>>,
@@ -458,6 +481,8 @@ impl Reactor {
             ctx,
             listeners,
             conns: HashMap::new(),
+            turns: VecDeque::new(),
+            read_buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
             wheel: TimerWheel::new(now),
             next_token: CONN_BASE,
             flush_tx,
@@ -489,6 +514,7 @@ impl Reactor {
             }
             events = batch;
             self.drain_completions();
+            self.take_turns();
             self.fire_timers(Instant::now());
         }
         // Teardown: cancel every in-flight proof and close every
@@ -503,9 +529,13 @@ impl Reactor {
         }
     }
 
-    /// How long the next `epoll_wait` may block: until the next timer
-    /// tick or snapshot flush, or forever when neither is armed.
+    /// How long the next `epoll_wait` may block: not at all while a
+    /// connection awaits its next turn, else until the next timer tick or
+    /// snapshot flush, or forever when neither is armed.
     fn wait_timeout(&self, now: Instant) -> Option<Duration> {
+        if !self.turns.is_empty() {
+            return Some(Duration::ZERO);
+        }
         let mut timeout = self.wheel.next_timeout(now);
         if let (Some(_), Some(interval)) = (&self.flush_tx, self.flush_interval) {
             let due = (self.last_flush + interval).saturating_duration_since(now);
@@ -623,10 +653,9 @@ impl Reactor {
             return;
         }
         let metrics = &self.ctx.metrics;
-        let mut chunk = vec![0u8; READ_CHUNK];
         let mut renew_deadline = false;
         loop {
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => {
                     // Peer hung up: abort anything in flight for this
                     // connection. The threaded reader did exactly this
@@ -635,14 +664,20 @@ impl Reactor {
                     break;
                 }
                 Ok(n) => {
-                    conn.inbuf.extend_from_slice(&chunk[..n]);
-                    let mut scan_from = 0usize;
+                    // The buffered partial frame holds no newline, so only
+                    // the new bytes are scanned; complete lines are split
+                    // off and the remainder shifted down once.
+                    let mut start = 0usize;
+                    let mut scan_from = conn.inbuf.len();
+                    conn.inbuf.extend_from_slice(&self.read_buf[..n]);
                     while let Some(pos) = conn.inbuf[scan_from..].iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = conn.inbuf.drain(..=scan_from + pos).collect();
-                        scan_from = 0;
-                        let text = String::from_utf8_lossy(&line).into_owned();
+                        let end = scan_from + pos + 1;
+                        let text = String::from_utf8_lossy(&conn.inbuf[start..end]).into_owned();
                         conn.pending.push_back((text, Instant::now()));
+                        start = end;
+                        scan_from = end;
                     }
+                    conn.inbuf.drain(..start);
                     if conn.inbuf.is_empty() {
                         conn.partial_since = None;
                         renew_deadline = true;
@@ -683,10 +718,11 @@ impl Reactor {
     }
 
     /// Feeds queued lines through dispatch while the connection has no
-    /// in-flight pooled job. Inline verbs answer immediately; a pooled
-    /// verb marks the connection busy until its completion arrives.
+    /// in-flight pooled job, at most [`LINES_PER_TURN`] of them. Inline
+    /// verbs answer immediately; a pooled verb marks the connection busy
+    /// until its completion arrives.
     fn process_pending(&mut self, token: u64) {
-        loop {
+        for _ in 0..LINES_PER_TURN {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
@@ -785,6 +821,29 @@ impl Reactor {
                     }
                 }
             }
+        }
+        if let Some(conn) = self.conns.get_mut(&token) {
+            if !conn.pending.is_empty() && !conn.awaiting_turn {
+                conn.awaiting_turn = true;
+                self.turns.push_back(token);
+            }
+        }
+    }
+
+    /// Gives each connection whose turn ran out its next one. A
+    /// connection whose lines outlast this turn too goes to the back,
+    /// behind the events of the next `epoll_wait`.
+    fn take_turns(&mut self) {
+        for _ in 0..self.turns.len() {
+            let Some(token) = self.turns.pop_front() else {
+                break;
+            };
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue;
+            };
+            conn.awaiting_turn = false;
+            self.process_pending(token);
+            self.finalize(token);
         }
     }
 
@@ -912,6 +971,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::test_ctx;
 
     #[test]
     fn wheel_fires_after_deadline_not_before() {
@@ -952,5 +1012,55 @@ mod tests {
         let horizon = WHEEL_TICK * (WHEEL_SLOTS as u32);
         let due = wheel.advance(start + horizon);
         assert_eq!(due, vec![9]);
+    }
+
+    #[test]
+    fn a_connection_dispatches_at_most_a_turn_of_lines_at_a_time() {
+        let ctx = test_ctx();
+        let mut reactor = Reactor::new(Arc::clone(&ctx), Vec::new(), None, None).expect("reactor");
+        // Two connections over socket pairs; the far ends take the replies.
+        let (flood, probe) = (CONN_BASE, CONN_BASE + 1);
+        let mut far_ends = Vec::new();
+        for token in [flood, probe] {
+            let (near, far) = UnixStream::pair().expect("socket pair");
+            near.set_nonblocking(true).expect("nonblocking");
+            let conn = Conn::new(Stream::Unix(near), CancelToken::new());
+            reactor
+                .poller
+                .add(conn.fd, token, Interest::READ)
+                .expect("register");
+            reactor.conns.insert(token, conn);
+            far_ends.push(far);
+        }
+        let health = || ("{\"verb\":\"health\"}\n".to_owned(), Instant::now());
+        let queued = |reactor: &Reactor, token: u64| reactor.conns[&token].pending.len();
+        reactor
+            .conns
+            .get_mut(&flood)
+            .expect("flood connection")
+            .pending
+            .extend((0..3 * LINES_PER_TURN).map(|_| health()));
+        reactor.process_pending(flood);
+        assert_eq!(queued(&reactor, flood), 2 * LINES_PER_TURN);
+        assert_eq!(reactor.turns, [flood]);
+        assert_eq!(reactor.wait_timeout(Instant::now()), Some(Duration::ZERO));
+        // A line on another connection is answered on its own turn, ahead
+        // of the flood's remainder.
+        reactor
+            .conns
+            .get_mut(&probe)
+            .expect("probe connection")
+            .pending
+            .push_back(health());
+        reactor.process_pending(probe);
+        assert_eq!(queued(&reactor, probe), 0);
+        reactor.take_turns();
+        assert_eq!(queued(&reactor, flood), LINES_PER_TURN);
+        reactor.take_turns();
+        assert_eq!(queued(&reactor, flood), 0);
+        assert!(reactor.turns.is_empty());
+        let dispatched = ctx.metrics.requests_total.load(Ordering::Relaxed);
+        assert_eq!(dispatched, 3 * LINES_PER_TURN as u64 + 1);
+        ctx.pool.drain();
     }
 }

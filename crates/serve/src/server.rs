@@ -11,13 +11,27 @@
 //!
 //! Proving happens on a fixed pool of **worker** threads behind a
 //! bounded queue. The reactor parses a frame and either answers inline
-//! (cheap control verbs: `open_session`, `stats`, …) or submits a job;
-//! the worker pushes the finished frame onto a completion queue and
+//! or submits a job. It answers the cheap control verbs (`open_session`,
+//! `stats`, …) itself, and also every `prove` whose query is already
+//! settled in its session's shared proof cache
+//! ([`Portfolio::settled`]): such a run only reads that cache, so the
+//! reactor calls the same [`Portfolio::run`] a worker would and skips the
+//! pool round trip (a worker wake-up, the completion queue, an eventfd
+//! write and a second `epoll_wait`). Everything else that proves goes to
+//! the pool: an unsettled query, an equality query, a cached failure the
+//! refuter would follow, a `prove` asking for proof text, and the
+//! `batch`, `report` and `analyze` verbs. So the reactor never searches,
+//! never runs the refuter and never formats a proof tree.
+//!
+//! The worker pushes the finished frame onto a completion queue and
 //! rings the reactor's eventfd waker, which flushes it through the
 //! connection's write buffer. When the queue is at its high-water mark
-//! new work is *refused* with an `overloaded` error frame instead of
-//! being queued — under overload the daemon degrades to fast, explicit
-//! refusals, never to unbounded memory growth or silent timeouts.
+//! new pooled work is *refused* with an `overloaded` error frame instead
+//! of being queued — under overload the daemon degrades to fast,
+//! explicit refusals, never to unbounded memory growth or silent
+//! timeouts. A settled answer needs no worker, so it is never refused.
+//! Replies keep request order per connection: while a connection has a
+//! job in flight, its later lines wait behind it, settled ones included.
 //!
 //! A disconnect cancels the connection-wide [`CancelToken`], which
 //! aborts any proof currently running for that connection via the
@@ -191,7 +205,7 @@ struct PoolShared {
 
 /// Fixed worker pool; `submit` refuses instead of queueing past the
 /// high-water mark. Queue wait (submission to pickup) feeds the
-/// `queue_wait_us` histogram.
+/// `queue_wait_us` histogram, so it counts pooled jobs only.
 pub(crate) struct Pool {
     shared: Arc<PoolShared>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -281,7 +295,7 @@ impl Pool {
 
     /// Runs queued jobs to completion, then joins the workers.
     /// Idempotent: a second call finds no handles left to join.
-    fn drain(&self) {
+    pub(crate) fn drain(&self) {
         {
             let mut state = self
                 .shared
@@ -699,7 +713,8 @@ impl LineOutcome {
 }
 
 /// Handles one request line: parse, admission, dispatch. Cheap control
-/// verbs answer inline; proving verbs become pool jobs. Never blocks.
+/// verbs and cache-settled `prove` queries answer inline; the other
+/// proving requests become pool jobs. Never blocks.
 pub(crate) fn handle_line(ctx: &Arc<Ctx>, line: &str, cancel: &CancelToken) -> LineOutcome {
     let (id, request) = match parse_request(line) {
         Ok(parsed) => parsed,
@@ -728,18 +743,20 @@ pub(crate) fn handle_line(ctx: &Arc<Ctx>, line: &str, cancel: &CancelToken) -> L
             let budget = resolved_budget(ctx, &query, cancel);
             let dep = wire_to_query(&query).with_budget(budget);
             let want_proof = query.want_proof;
-            let engines = query.engines;
+            let portfolio = portfolio(ctx, &engine, query.engines);
+            // A query settled in the session's shared cache costs one
+            // cache read: answer it here instead of paying the pool round
+            // trip. Proof text is still rendered on a worker.
+            if !want_proof && portfolio.settled(&dep) {
+                let frame = prove_frame(ctx, &portfolio, &dep, want_proof, id.as_ref());
+                return LineOutcome::reply(frame);
+            }
             let ctx = Arc::clone(ctx);
             let frame_id = id.clone();
             LineOutcome::Job {
                 id,
                 work: Box::new(move || {
-                    let outcome = portfolio(&ctx, &engine, engines).run(&dep);
-                    Metrics::bump(&ctx.metrics.queries_total);
-                    ok_frame(
-                        frame_id.as_ref(),
-                        vec![("result", outcome_json(&outcome, want_proof))],
-                    )
+                    prove_frame(&ctx, &portfolio, &dep, want_proof, frame_id.as_ref())
                 }),
             }
         }
@@ -855,6 +872,20 @@ pub(crate) fn handle_line(ctx: &Arc<Ctx>, line: &str, cancel: &CancelToken) -> L
             LineOutcome::reply(frame)
         }
     }
+}
+
+/// Runs one `prove` query and renders its reply frame: what the reactor
+/// answers a settled query with, and what a pooled job renders.
+fn prove_frame(
+    ctx: &Ctx,
+    portfolio: &Portfolio,
+    dep: &DepQuery,
+    want_proof: bool,
+    id: Option<&Json>,
+) -> Json {
+    let outcome = portfolio.run(dep);
+    Metrics::bump(&ctx.metrics.queries_total);
+    ok_frame(id, vec![("result", outcome_json(&outcome, want_proof))])
 }
 
 /// The cheap control verbs, answered on the reactor thread.
@@ -994,7 +1025,7 @@ fn dispatch_inline(
             ))
         }
         Request::Shutdown => Ok((ok_frame(id, vec![("stopping", true.into())]), true)),
-        // Proving verbs are routed to the pool by `handle_line`.
+        // Proving verbs are dispatched by `handle_line`.
         Request::Prove { .. }
         | Request::Batch { .. }
         | Request::Report { .. }
@@ -1220,5 +1251,111 @@ fn report_row(
             ("query", what.as_str().into()),
             ("error", e.to_string().as_str().into()),
         ]),
+    }
+}
+
+/// A server's shared state with one worker and no reactor, for unit
+/// tests that dispatch lines themselves.
+#[cfg(test)]
+pub(crate) fn test_ctx() -> Arc<Ctx> {
+    let mut config = ServeConfig::new();
+    config.workers = 1;
+    Server::new(config).ctx
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apt_axioms::adds::leaf_linked_tree_axioms;
+
+    fn open(ctx: &Arc<Ctx>) -> String {
+        let axioms = leaf_linked_tree_axioms().to_string();
+        let line = obj(vec![
+            ("verb", "open_session".into()),
+            ("axioms", axioms.as_str().into()),
+        ])
+        .render();
+        let LineOutcome::Reply { frame, .. } = handle_line(ctx, &line, &CancelToken::new()) else {
+            panic!("open_session is answered inline");
+        };
+        frame
+            .get("session")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_owned()
+    }
+
+    fn prove(session: &str, a: &str, b: &str, extra: Vec<(&str, Json)>) -> String {
+        let mut pairs = vec![
+            ("verb", "prove".into()),
+            ("id", 7u64.into()),
+            ("session", session.into()),
+            ("a", a.into()),
+            ("b", b.into()),
+        ];
+        pairs.extend(extra);
+        obj(pairs).render()
+    }
+
+    /// Whether dispatch answers `line` inline; a job is run to warm the
+    /// session.
+    fn inline(ctx: &Arc<Ctx>, line: &str) -> bool {
+        match handle_line(ctx, line, &CancelToken::new()) {
+            LineOutcome::Reply { .. } => true,
+            LineOutcome::Job { work, .. } => {
+                work();
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn a_settled_prove_is_answered_inline_with_the_pooled_frame() {
+        let ctx = test_ctx();
+        let session = open(&ctx);
+        let line = prove(&session, "L.L.N", "L.R.N", vec![]);
+        let cancel = CancelToken::new();
+        // Both dispatched while the session is cold, so both are pooled.
+        let LineOutcome::Job { work: cold, .. } = handle_line(&ctx, &line, &cancel) else {
+            panic!("a cold query goes to the pool");
+        };
+        let LineOutcome::Job { work: held, .. } = handle_line(&ctx, &line, &cancel) else {
+            panic!("a cold query goes to the pool");
+        };
+        let cold = cold();
+        let result = cold.get("result").unwrap();
+        assert_eq!(result.get("answer").and_then(Json::as_str), Some("No"));
+        let LineOutcome::Reply { frame, shutdown } = handle_line(&ctx, &line, &cancel) else {
+            panic!("a settled query is answered inline");
+        };
+        assert!(!shutdown);
+        // The held job runs on the same warm session: it renders the
+        // inline frame byte for byte.
+        assert_eq!(frame.render(), held().render());
+        assert_ne!(frame.render(), cold.render(), "the cold run searched");
+        assert_eq!(ctx.metrics.queries_total.load(Ordering::Relaxed), 3);
+        ctx.pool.drain();
+    }
+
+    #[test]
+    fn only_proves_answered_from_the_cache_alone_skip_the_pool() {
+        let ctx = test_ctx();
+        let session = open(&ctx);
+        let proved = |extra| prove(&session, "L.L.N", "L.R.N", extra);
+        // Identical paths: the prover fails cleanly and caches the failure.
+        let failed = |extra| prove(&session, "L.L.N", "L.L.N", extra);
+        assert!(!inline(&ctx, &proved(vec![])));
+        assert!(!inline(&ctx, &failed(vec![])));
+        assert!(inline(&ctx, &proved(vec![])));
+        assert!(inline(&ctx, &failed(vec![])));
+        assert!(inline(&ctx, &proved(vec![("engines", "all".into())])));
+
+        assert!(!inline(&ctx, &prove(&session, "L.L.L.N", "L.R.N", vec![])));
+        assert!(!inline(&ctx, &proved(vec![("origin", "distinct".into())])));
+        assert!(!inline(&ctx, &proved(vec![("kind", "equal".into())])));
+        assert!(!inline(&ctx, &proved(vec![("proof", true.into())])));
+        // The refuter would follow a cached failure under every engine.
+        assert!(!inline(&ctx, &failed(vec![("engines", "all".into())])));
+        ctx.pool.drain();
     }
 }

@@ -230,18 +230,29 @@ if [[ ! -S "$SOCK" ]]; then
 fi
 
 # The daemon and the one-shot CLI must agree on every canned query:
-# same answer, same exit-code convention (0 definite, 1 Maybe).
+# same answer, same exit-code convention (0 definite, 1 Maybe). The
+# daemon is asked twice: the second ask finds the query settled in the
+# session's proof cache and is answered on the reactor, and it must
+# print exactly what the first (pooled) ask printed.
 check_parity() {
     local axioms="$1" a="$2" b="$3"
     shift 3
-    local sess direct_rc=0 served_rc=0
+    local sess first again direct_rc=0 served_rc=0 again_rc=0
     sess=$("$APT" client --socket "$SOCK" open "$axioms" | sed 's/^session: //')
-    "$APT" client --socket "$SOCK" prove "$sess" "$a" "$b" "$@" >/dev/null \
+    first=$("$APT" client --socket "$SOCK" prove "$sess" "$a" "$b" "$@") \
         || served_rc=$?
+    again=$("$APT" client --socket "$SOCK" prove "$sess" "$a" "$b" "$@") \
+        || again_rc=$?
     "$APT" prove "$axioms" "$a" "$b" "$@" >/dev/null || direct_rc=$?
     if [[ "$served_rc" -ne "$direct_rc" ]]; then
         echo "error: verdict mismatch for $a <> $b ($axioms $*):" \
             "daemon exit $served_rc, apt prove exit $direct_rc" >&2
+        exit 1
+    fi
+    if [[ "$again" != "$first" || "$again_rc" -ne "$served_rc" ]]; then
+        echo "error: asking the daemon $a <> $b ($axioms $*) twice changed" \
+            "its answer: exit $served_rc then $again_rc" >&2
+        diff <(echo "$first") <(echo "$again") >&2 || true
         exit 1
     fi
 }
@@ -251,6 +262,15 @@ check_parity examples/programs/llt.adds L.N R.N
 # §5 sparse matrix: a Theorem T instance and a distinct-origin probe.
 check_parity examples/programs/sparse.axioms ncolE "nrowE.ncolE+"
 check_parity examples/programs/sparse.axioms ncolE nrowE --distinct
+# Settled second asks never queue: fewer pooled jobs than queries.
+stats=$("$APT" client --socket "$SOCK" stats)
+queue_waits=$(sed -n 's/.*"queue_wait_us":{"count":\([0-9]*\).*/\1/p' <<<"$stats")
+queries=$(sed -n 's/.*"queries_total":\([0-9]*\).*/\1/p' <<<"$stats")
+if [[ -z "$queue_waits" || -z "$queries" || "$queue_waits" -ge "$queries" ]]; then
+    echo "error: ${queue_waits:-?} queued jobs for ${queries:-?} queries;" \
+        "settled queries should be answered without the pool" >&2
+    exit 1
+fi
 
 # Structural dedupe: reopening the same set must return the same session.
 s1=$("$APT" client --socket "$SOCK" open examples/programs/llt.adds)

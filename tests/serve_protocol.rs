@@ -606,3 +606,155 @@ fn per_request_budgets_are_clamped_by_the_server_ceiling() {
     handle.stop();
     join.join().expect("server thread");
 }
+
+/// Reads one reply frame off a raw connection.
+fn read_frame(reader: &mut std::io::BufReader<TcpStream>) -> Json {
+    let mut line = String::new();
+    let n = std::io::BufRead::read_line(reader, &mut line).expect("read frame");
+    assert!(n > 0, "connection closed while expecting a frame");
+    apt::serve::json::parse(line.trim()).expect("frame parses")
+}
+
+fn stats(client: &mut Client) -> Json {
+    client
+        .roundtrip(obj(vec![("verb", "stats".into())]))
+        .expect("stats")
+}
+
+/// A counter of the `stats` reply's `server` block, by its path.
+fn server_stat(stats: &Json, path: &[&str]) -> u64 {
+    let mut value = stats.get("server");
+    for key in path {
+        value = value.and_then(|v| v.get(key));
+    }
+    value
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("stats lacks server.{}", path.join(".")))
+}
+
+const QUEUE_WAITS: &[&str] = &["latency", "queue_wait_us", "count"];
+
+/// Polls `stats` until `ready` holds of the reply.
+fn await_stats(client: &mut Client, ready: impl Fn(&Json) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = stats(client);
+        if ready(&stats) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the server never got there: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn a_settled_answer_waits_behind_its_connections_pooled_job() {
+    let (addr, handle, join) = start_server(ServeConfig::new());
+    let mut client = connect(addr);
+    let session = client.open_session(&llt_text()).expect("open");
+    // Settle the query, then pipeline a slow unsettled query and the
+    // settled one in a single write.
+    let warm = client
+        .prove_disjoint(&session, "L.L.N", "L.R.N", false)
+        .expect("warm-up prove");
+    assert_eq!(parse_verdict(&warm).expect("verdict"), (Answer::No, None));
+    let (a, b) = blocker_paths(24);
+    let mut pipelined = String::new();
+    for frame in [
+        obj(vec![
+            ("verb", "prove".into()),
+            ("id", 1u64.into()),
+            ("session", session.as_str().into()),
+            ("a", a.as_str().into()),
+            ("b", b.as_str().into()),
+            ("deadline_ms", 300u64.into()),
+        ]),
+        obj(vec![
+            ("verb", "prove".into()),
+            ("id", 2u64.into()),
+            ("session", session.as_str().into()),
+            ("a", "L.L.N".into()),
+            ("b", "L.R.N".into()),
+        ]),
+    ] {
+        pipelined.push_str(&frame.render());
+        pipelined.push('\n');
+    }
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    raw.write_all(pipelined.as_bytes()).expect("send");
+    let mut reader = std::io::BufReader::new(raw);
+    let first = read_frame(&mut reader);
+    let second = read_frame(&mut reader);
+    assert_eq!(first.get("id").and_then(Json::as_u64), Some(1), "{first:?}");
+    assert_eq!(
+        second.get("id").and_then(Json::as_u64),
+        Some(2),
+        "{second:?}"
+    );
+    let verdict =
+        |frame: &Json| parse_verdict(frame.get("result").expect("result")).expect("verdict");
+    assert_eq!(verdict(&first).0, Answer::Maybe);
+    assert_eq!(verdict(&second), (Answer::No, None));
+    // Two pooled jobs (the warm-up and the slow query) for three
+    // queries: the settled answer never went through the queue.
+    let stats = stats(&mut client);
+    assert_eq!(server_stat(&stats, QUEUE_WAITS), 2);
+    assert_eq!(server_stat(&stats, &["queries_total"]), 3);
+
+    handle.stop();
+    join.join().expect("server thread");
+}
+
+#[test]
+fn a_saturated_pool_still_answers_settled_queries() {
+    let mut config = ServeConfig::new();
+    config.workers = 1;
+    config.high_water = 1;
+    let (addr, handle, join) = start_server(config);
+    let mut client = connect(addr);
+    let session = client.open_session(&llt_text()).expect("open");
+    client
+        .prove_disjoint(&session, "L.L.N", "L.R.N", false)
+        .expect("warm-up prove");
+
+    // One slow query occupies the worker (its queue wait is recorded
+    // when the worker picks it up), a second fills the queue.
+    let (a, b) = blocker_paths(32);
+    let mut line = obj(vec![
+        ("verb", Json::from("prove")),
+        ("session", session.as_str().into()),
+        ("a", a.as_str().into()),
+        ("b", b.as_str().into()),
+        ("fuel", 5_000_000u64.into()),
+        ("deadline_ms", 10_000u64.into()),
+    ])
+    .render();
+    line.push('\n');
+    let mut running = TcpStream::connect(addr).expect("connect");
+    running.write_all(line.as_bytes()).expect("send");
+    await_stats(&mut client, |s| server_stat(s, QUEUE_WAITS) == 2);
+    let mut queued = TcpStream::connect(addr).expect("connect");
+    queued.write_all(line.as_bytes()).expect("send");
+    await_stats(&mut client, |s| {
+        s.get("queue_depth").and_then(Json::as_u64) == Some(1)
+    });
+
+    // Unsettled work is refused...
+    match client.prove_disjoint(&session, "L.L.L.N", "L.R.N", false) {
+        Err(ClientError::Server(code, _)) => assert_eq!(code, "overloaded"),
+        other => panic!("expected an overload refusal, got {other:?}"),
+    }
+    // ...but a settled query needs no worker and is answered.
+    let result = client
+        .prove_disjoint(&session, "L.L.N", "L.R.N", false)
+        .expect("settled prove under overload");
+    assert_eq!(parse_verdict(&result).expect("verdict"), (Answer::No, None));
+    assert_eq!(server_stat(&stats(&mut client), &["overload_refusals"]), 1);
+
+    drop((running, queued));
+    handle.stop();
+    join.join().expect("server thread");
+}
