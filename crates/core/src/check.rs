@@ -727,13 +727,13 @@ mod tests {
                 field: "N".into(),
                 axiom: "A3".into(),
             },
-            children: vec![Proof::leaf(
+            children: vec![std::sync::Arc::new(Proof::leaf(
                 Goal::new(Origin::Same, p("L"), p("L")),
                 Rule::Axiom {
                     axiom: "A1".into(),
                     swapped: false,
                 },
-            )],
+            ))],
         };
         assert!(check_proof(&axioms, &fake).is_err());
     }

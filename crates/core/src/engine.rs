@@ -73,8 +73,9 @@ pub const INLINE_BATCH_THRESHOLD: usize = 128;
 /// A settled, context-free result for one goal.
 #[derive(Debug, Clone)]
 pub(crate) enum SharedVerdict {
-    /// The goal has a self-contained proof.
-    Proved(Proof),
+    /// The goal has a self-contained proof, shared by every prover that
+    /// adopts it.
+    Proved(Arc<Proof>),
     /// The search completed cleanly without a proof.
     Failed,
 }
@@ -112,6 +113,22 @@ impl CacheStats {
         self.min_dfas += other.min_dfas;
         self.raw_dfa_states += other.raw_dfa_states;
         self.min_dfa_states += other.min_dfa_states;
+    }
+
+    /// What was added since an `earlier` reading of the same cache: the
+    /// share of a long-lived engine's entries one batch contributed.
+    /// Shared caches only grow, so no count goes negative; it saturates
+    /// at zero all the same.
+    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
+        CacheStats {
+            proved_goals: self.proved_goals.saturating_sub(earlier.proved_goals),
+            failed_goals: self.failed_goals.saturating_sub(earlier.failed_goals),
+            subset_results: self.subset_results.saturating_sub(earlier.subset_results),
+            dfas: self.dfas.saturating_sub(earlier.dfas),
+            min_dfas: self.min_dfas.saturating_sub(earlier.min_dfas),
+            raw_dfa_states: self.raw_dfa_states.saturating_sub(earlier.raw_dfa_states),
+            min_dfa_states: self.min_dfa_states.saturating_sub(earlier.min_dfa_states),
+        }
     }
 }
 
@@ -335,7 +352,7 @@ impl SharedCache {
                 goals.push(GoalEntry {
                     goal: goal.clone(),
                     proof: match verdict {
-                        SharedVerdict::Proved(p) => Some(p.clone()),
+                        SharedVerdict::Proved(p) => Some(Proof::clone(p)),
                         SharedVerdict::Failed => None,
                     },
                 });
@@ -395,7 +412,7 @@ impl DepEngine {
         }
         for entry in &export.goals {
             let verdict = match &entry.proof {
-                Some(p) => SharedVerdict::Proved(p.clone()),
+                Some(p) => SharedVerdict::Proved(Arc::new(p.clone())),
                 None => SharedVerdict::Failed,
             };
             self.cache.publish_goal(&entry.goal, verdict);
@@ -723,6 +740,19 @@ impl DepEngine {
         &self.config
     }
 
+    /// A handle on this engine (its axioms, rules, shared cache and arena
+    /// scope) whose queries run under `budget` instead of the engine's
+    /// own. Definite cache entries do not depend on the budget that
+    /// produced them, so every handle reads and warms the same cache; a
+    /// caller that keeps an engine across requests gives each request its
+    /// own fuel, deadline and cancel token this way.
+    #[must_use]
+    pub fn with_budget(&self, budget: Budget) -> DepEngine {
+        let mut engine = self.clone();
+        engine.config.budget = budget;
+        engine
+    }
+
     /// Entry counts of the shared cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -1000,5 +1030,57 @@ mod tests {
     fn empty_batch() {
         let engine = DepEngine::new(AxiomSet::new());
         assert!(engine.run_batch(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn shared_cache_hits_share_the_cached_subproofs() {
+        let engine = DepEngine::new(adds::leaf_linked_tree_axioms());
+        let query = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N"));
+        let cold = query.run(&engine);
+        let root = Goal::new(Origin::Same, p("L.L.N"), p("L.R.N"));
+        let Some(SharedVerdict::Proved(cached)) = engine.shared_cache().lookup_goal(&root) else {
+            panic!("the proved root goal is published");
+        };
+        // A fresh prover answers from the shared cache alone, and the
+        // proof it hands back points at the cached subproofs.
+        let warm = query.run(&engine);
+        assert_eq!(warm.stats.goals_attempted, 0);
+        assert_eq!(warm.stats.shared_hits, 1);
+        for outcome in [&cold, &warm] {
+            let proof = outcome.proof.as_ref().expect("proved");
+            assert!(!proof.children.is_empty());
+            assert_eq!(proof.children.len(), cached.children.len());
+            for (mine, theirs) in proof.children.iter().zip(&cached.children) {
+                assert!(Arc::ptr_eq(mine, theirs));
+            }
+            assert_eq!(proof.to_string(), cached.to_string());
+        }
+    }
+
+    #[test]
+    fn a_rebudgeted_handle_shares_the_cache_but_not_the_budget() {
+        let engine = DepEngine::new(adds::sparse_matrix_minimal_axioms());
+        let query = DepQuery::disjoint(&p("ncolE+"), &p("nrowE+.ncolE+"));
+        let starved = engine.with_budget(Budget::new().with_fuel(1));
+        assert_eq!(starved.run(&query).verdict.answer, Answer::Maybe);
+        assert_eq!(engine.config().budget, Budget::new());
+        assert_eq!(engine.run(&query).verdict.answer, Answer::No);
+        // The proof the full-budget run published is the starved
+        // handle's cache too: it answers without spending fuel.
+        let settled = starved.run(&query);
+        assert_eq!(settled.verdict.answer, Answer::No);
+        assert_eq!(settled.stats.goals_attempted, 0);
+    }
+
+    #[test]
+    fn cache_stats_since_counts_what_was_added() {
+        let engine = DepEngine::new(adds::leaf_linked_tree_axioms());
+        let empty = engine.cache_stats();
+        let _ = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N")).run(&engine);
+        let after = engine.cache_stats();
+        assert_eq!(after.since(&empty), after);
+        assert!(after.proved_goals > 0);
+        let _ = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N")).run(&engine);
+        assert_eq!(engine.cache_stats().since(&after), CacheStats::default());
     }
 }

@@ -6,6 +6,7 @@
 
 use crate::goal::Goal;
 use std::fmt;
+use std::sync::Arc;
 
 /// The proof rule that discharged a goal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,6 +113,11 @@ pub enum PrefixCase {
 
 /// A node of a proof tree: a goal, the rule that discharged it, and the
 /// subproofs the rule required.
+///
+/// Subproofs are shared, not copied: the prover's caches hand out one
+/// node per settled goal, and every proof citing that goal points at it.
+/// A tree is immutable once built, so cloning a proof copies one node and
+/// bumps its children's reference counts.
 #[derive(Debug, Clone)]
 pub struct Proof {
     /// The goal this node establishes.
@@ -119,7 +125,7 @@ pub struct Proof {
     /// The rule that fired.
     pub rule: Rule,
     /// Subproofs (rule premises), in rule-specific order.
-    pub children: Vec<Proof>,
+    pub children: Vec<Arc<Proof>>,
 }
 
 impl Proof {
@@ -134,12 +140,12 @@ impl Proof {
 
     /// Number of nodes in the tree.
     pub fn node_count(&self) -> usize {
-        1 + self.children.iter().map(Proof::node_count).sum::<usize>()
+        1 + self.children.iter().map(|c| c.node_count()).sum::<usize>()
     }
 
     /// Depth of the tree.
     pub fn depth(&self) -> usize {
-        1 + self.children.iter().map(Proof::depth).max().unwrap_or(0)
+        1 + self.children.iter().map(|c| c.depth()).max().unwrap_or(0)
     }
 
     /// Every axiom label cited anywhere in the proof.
@@ -272,7 +278,7 @@ mod tests {
         let root = Proof {
             goal: goal("L.L", "L.R"),
             rule: Rule::HeadPeel { field: "L".into() },
-            children: vec![leaf],
+            children: vec![Arc::new(leaf)],
         };
         assert_eq!(root.node_count(), 2);
         assert_eq!(root.depth(), 2);
@@ -292,7 +298,10 @@ mod tests {
         let root = Proof {
             goal: goal("L.L", "L.R"),
             rule: Rule::AltSplit,
-            children: vec![leaf("A1"), leaf("A1"), leaf("A3")],
+            children: vec![leaf("A1"), leaf("A1"), leaf("A3")]
+                .into_iter()
+                .map(Arc::new)
+                .collect(),
         };
         assert_eq!(root.axioms_used(), vec!["A1".to_owned(), "A3".to_owned()]);
     }

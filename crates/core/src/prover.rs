@@ -64,7 +64,7 @@ enum CacheState {
         shrinks: usize,
         rewrites: usize,
     },
-    Proved(Proof),
+    Proved(Arc<Proof>),
     /// A definite "no rule applies / all branches exhausted" failure,
     /// valid for any context with at least `min_rewrites` equality
     /// rewrites already spent (the rewrite allowance is the one context
@@ -332,7 +332,7 @@ impl<'a> Prover<'a> {
     ) -> (Option<Proof>, Option<MaybeReason>) {
         self.begin_query();
         let goal = Goal::new(origin, a.clone(), b.clone());
-        let result = self.prove(&goal, Ctx::root());
+        let result = self.prove(&goal, Ctx::root()).map(Arc::unwrap_or_clone);
         let reason = match result {
             Some(_) => None,
             None => Some(
@@ -344,14 +344,16 @@ impl<'a> Prover<'a> {
         (result, reason)
     }
 
-    fn prove(&mut self, goal: &Goal, ctx: Ctx) -> Option<Proof> {
+    /// Proves `goal` in `ctx`, or fails. A settled goal's proof is shared
+    /// with the caches that hold it, never copied.
+    fn prove(&mut self, goal: &Goal, ctx: Ctx) -> Option<Arc<Proof>> {
         if self.poll_budget() {
             return None;
         }
         match self.cache.get(goal) {
             Some(CacheState::Proved(p)) => {
                 self.stats.cache_hits += 1;
-                return Some(p.clone());
+                return Some(Arc::clone(p));
             }
             Some(CacheState::Failed { min_rewrites }) => {
                 // The entry is valid wherever at least as much of the
@@ -376,12 +378,12 @@ impl<'a> Prover<'a> {
                 // no rewrite changed the witness measure), so a minimal
                 // counterexample would yield a smaller one — contradiction.
                 if ctx.shrinks > *shrinks && ctx.rewrites == *rewrites {
-                    return Some(Proof::leaf(
+                    return Some(Arc::new(Proof::leaf(
                         goal.clone(),
                         Rule::Induction {
                             target: goal.to_string(),
                         },
-                    ));
+                    )));
                 }
                 return None;
             }
@@ -396,7 +398,7 @@ impl<'a> Prover<'a> {
                             self.stats.cache_hits += 1;
                             self.stats.shared_hits += 1;
                             self.cache
-                                .insert(goal.clone(), CacheState::Proved(p.clone()));
+                                .insert(goal.clone(), CacheState::Proved(Arc::clone(&p)));
                             self.settle(goal);
                             return Some(p);
                         }
@@ -435,7 +437,7 @@ impl<'a> Prover<'a> {
         );
 
         let touches_before = self.stack_touches;
-        let result = self.prove_uncached(goal, ctx);
+        let result = self.prove_uncached(goal, ctx).map(Arc::new);
 
         match &result {
             Some(p) => {
@@ -449,10 +451,10 @@ impl<'a> Prover<'a> {
                     self.cache.remove(goal);
                 } else {
                     self.cache
-                        .insert(goal.clone(), CacheState::Proved(p.clone()));
+                        .insert(goal.clone(), CacheState::Proved(Arc::clone(p)));
                     self.settle(goal);
                     if let Some(shared) = &self.shared {
-                        shared.publish_goal(goal, SharedVerdict::Proved(p.clone()));
+                        shared.publish_goal(goal, SharedVerdict::Proved(Arc::clone(p)));
                     }
                 }
             }
@@ -1096,7 +1098,7 @@ impl<'a> Prover<'a> {
         ub_b: bool,
         f: Symbol,
         ctx: Ctx,
-    ) -> Option<Vec<Proof>> {
+    ) -> Option<Vec<Arc<Proof>>> {
         let mut children = Vec::new();
         let with_plus = |base: &Path| {
             let mut p = base.clone();
@@ -1187,7 +1189,7 @@ impl<'a> Prover<'a> {
 
         let suffix_goal = |o: Origin| Goal::new(o, sa.clone(), sb.clone());
         let leaf = |o: Origin, (axiom, swapped): (String, bool)| {
-            Proof::leaf(suffix_goal(o), Rule::Axiom { axiom, swapped })
+            Arc::new(Proof::leaf(suffix_goal(o), Rule::Axiom { axiom, swapped }))
         };
 
         // Step A∧B: both origin cases discharged — prefix relationship
@@ -1603,6 +1605,33 @@ mod tests {
     }
 
     #[test]
+    fn proof_rendering_is_the_papers_paraphrase() {
+        let axioms = adds::leaf_linked_tree_axioms();
+        let proof = Prover::new(&axioms)
+            .disj(Origin::Same, &p("L.L.N"), &p("L.R.N"))
+            .expect("§3.3 example proves");
+        assert_eq!(
+            proof.to_string(),
+            "Proof:\n  \
+             - forall x, x.L.L.N <> x.L.R.N  [applying A3 (injectivity of N), theorem is true if:]\n    \
+             - forall x, x.L.L <> x.L.R  [both paths start from the same vertex and begin with L; reduces to:]\n      \
+             - forall x, x.L <> x.R  [by axiom A1]\n"
+        );
+        let axioms = adds::sparse_matrix_minimal_axioms();
+        let proof = Prover::new(&axioms)
+            .disj(Origin::Same, &p("ncolE+"), &p("nrowE+.ncolE+"))
+            .expect("Theorem T proves");
+        assert_eq!(
+            proof.to_string(),
+            "Proof:\n  \
+             - forall x, x.ncolE+ <> x.nrowE+.ncolE+  [induction on the trailing ncolE-runs (injectivity axiom A1); cases:]\n    \
+             - forall x, x.eps <> x.nrowE+  [by axiom A3]\n    \
+             - forall x, x.ncolE+ <> x.nrowE+  [by axiom A2]\n    \
+             - forall x, x.eps <> x.nrowE+.ncolE+  [by axiom A3]\n"
+        );
+    }
+
+    #[test]
     fn same_paths_not_disprovable() {
         let axioms = adds::leaf_linked_tree_axioms();
         let mut prover = Prover::new(&axioms);
@@ -1780,7 +1809,7 @@ mod tests {
             .expect("subtree disjointness provable");
         // The proof must actually use the star case analysis.
         fn has_star_cases(pr: &crate::proof::Proof) -> bool {
-            matches!(pr.rule, Rule::StarCases) || pr.children.iter().any(has_star_cases)
+            matches!(pr.rule, Rule::StarCases) || pr.children.iter().any(|c| has_star_cases(c))
         }
         assert!(has_star_cases(&proof), "expected StarCases in\n{proof}");
     }

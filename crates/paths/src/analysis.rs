@@ -13,15 +13,16 @@
 use crate::apm::Apm;
 use apt_axioms::AxiomSet;
 use apt_core::{
-    AccessPath, Answer, CacheStats, DepEngine, DepTest, Handle, HandleRelation, MemRef, Portfolio,
-    PortfolioConfig, ProverConfig, TallySink, TestOutcome,
+    AccessPath, Answer, Budget, CacheStats, DepEngine, DepTest, Handle, HandleRelation, MemRef,
+    Portfolio, PortfolioConfig, ProverConfig, TallySink, TestOutcome,
 };
 use apt_ir::{Block, Program, Stmt, StmtKind};
-use apt_regex::{Component, Path, Symbol};
+use apt_regex::{ArenaScope, Component, Path, Symbol};
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// What a labeled statement does to memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,16 +145,94 @@ impl Default for BatchOptions {
 }
 
 /// What [`Analysis::run_batch`] returns: one outcome (or [`QueryError`])
-/// per input query, in order, plus the engine cache statistics summed
-/// over every axiom-set group the batch used — observability for
+/// per input query, in order, plus the cache entries the batch added to
+/// the engines of every axiom-set group it used — observability for
 /// `apt batch` and the whole-program layer (proof/subset cache sizes,
 /// raw vs minimized DFA states).
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     /// Per-query outcomes, in input order.
     pub results: Vec<Result<TestOutcome, QueryError>>,
-    /// Cache statistics summed across the batch's engines.
+    /// Cache entries the batch added, summed across its engines.
     pub cache: CacheStats,
+}
+
+/// Which of the program's axioms §3.4 suspends at a query's points: the
+/// suspect fields some axiom mentions (sorted), or every axiom. Queries
+/// with equal keys prove under the same axiom set, so the key groups a
+/// batch onto engines and names the engines a run carries.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Suspended {
+    /// Every axiom is suspended (a call may have stored anything).
+    All,
+    /// The axioms mentioning any of these fields are suspended.
+    Fields(Vec<Symbol>),
+}
+
+/// The dependence engines a run proves on: one [`DepEngine`] per distinct
+/// valid axiom set of one program, all under one set of prover rules.
+/// [`crate::ProgramAnalysis::run`] carries them from run to run in its
+/// [`crate::DepTable`]; [`Analysis::run_batch`] starts from an empty set.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Engines {
+    /// Content hash of the program axiom set the engines prove under.
+    axioms_hash: u64,
+    /// The rule settings every engine here was built with: a
+    /// [`ProverConfig`] with the default budget, since each run applies
+    /// its own.
+    rules: ProverConfig,
+    by_suspended: HashMap<Suspended, DepEngine>,
+}
+
+impl Engines {
+    /// The set a run over a program whose axiom set hashes to
+    /// `axioms_hash` starts from: `carried` when it was built for the same
+    /// axioms, else an empty one.
+    pub(crate) fn carried(carried: Option<&Engines>, axioms_hash: u64) -> Engines {
+        match carried {
+            Some(engines) if engines.axioms_hash == axioms_hash => engines.clone(),
+            _ => Engines {
+                axioms_hash,
+                ..Engines::default()
+            },
+        }
+    }
+
+    /// How many engines the set holds.
+    pub(crate) fn len(&self) -> usize {
+        self.by_suspended.len()
+    }
+
+    /// A handle, under `config`'s budget, on the engine for queries whose
+    /// points suspend `suspended`; the engine is built over `axioms()`
+    /// when the set has none. Engines built under other rules are dropped
+    /// first, so a set only ever holds one rule configuration.
+    fn engine(
+        &mut self,
+        config: &ProverConfig,
+        suspended: &Suspended,
+        axioms: impl FnOnce() -> AxiomSet,
+    ) -> DepEngine {
+        let rules = ProverConfig {
+            budget: Budget::new(),
+            ..config.clone()
+        };
+        if rules != self.rules {
+            self.by_suspended.clear();
+            self.rules = rules.clone();
+        }
+        let engine = self
+            .by_suspended
+            .entry(suspended.clone())
+            .or_insert_with(|| {
+                // The engine outlives this call, so the building thread
+                // enters its scope only to charge the axiom compile there.
+                let scope = Arc::new(ArenaScope::detached());
+                let _in_scope = scope.enter();
+                DepEngine::from_arc_in(Arc::new(axioms()), rules, Arc::clone(&scope))
+            });
+        engine.with_budget(config.budget.clone())
+    }
 }
 
 impl BatchReport {
@@ -171,6 +250,9 @@ pub struct Analysis {
     snapshots: BTreeMap<String, Snapshot>,
     exit: Apm,
     axioms: AxiomSet,
+    /// Every field some axiom mentions (sorted), computed on the first
+    /// query that finds a suspect field.
+    axiom_fields: OnceLock<Vec<Symbol>>,
     config: ProverConfig,
     /// The engine roster every query runs through (the axiomatic prover
     /// alone unless widened).
@@ -217,6 +299,7 @@ pub fn analyze_proc(program: &Program, proc_name: &str) -> Result<Analysis, Quer
         snapshots,
         exit: apm,
         axioms: program.all_axioms(),
+        axiom_fields: OnceLock::new(),
         config: ProverConfig::default(),
         portfolio: PortfolioConfig::axiomatic_only(),
         tallies: TallySink::new(),
@@ -637,26 +720,48 @@ impl Analysis {
     /// are suspect at either point (§3.4's intersection of the axiom sets
     /// valid before and after a modification).
     pub fn valid_axioms(&self, snaps: &[&Snapshot]) -> AxiomSet {
+        self.axioms_under(&self.suspended(snaps))
+    }
+
+    /// What §3.4 suspends at the given snapshots, as a key: suspect fields
+    /// no axiom mentions change no axiom set, so they are left out.
+    fn suspended(&self, snaps: &[&Snapshot]) -> Suspended {
         if snaps.iter().any(|s| s.apm.all_axioms_dirty()) {
-            return AxiomSet::new();
+            return Suspended::All;
         }
-        let mut dirty: std::collections::BTreeSet<apt_regex::Symbol> =
-            std::collections::BTreeSet::new();
+        let mut fields: Vec<Symbol> = Vec::new();
         for s in snaps {
-            dirty.extend(s.apm.dirty_axiom_fields().iter().copied());
+            for f in s.apm.dirty_axiom_fields() {
+                let mentioned = self
+                    .axiom_fields
+                    .get_or_init(|| self.axioms.symbols())
+                    .binary_search(f)
+                    .is_ok();
+                if mentioned && !fields.contains(f) {
+                    fields.push(*f);
+                }
+            }
         }
-        if dirty.is_empty() {
-            return self.axioms.clone();
+        fields.sort_unstable();
+        Suspended::Fields(fields)
+    }
+
+    /// The declared axioms minus those `suspended` names.
+    fn axioms_under(&self, suspended: &Suspended) -> AxiomSet {
+        match suspended {
+            Suspended::All => AxiomSet::new(),
+            Suspended::Fields(dirty) if dirty.is_empty() => self.axioms.clone(),
+            Suspended::Fields(dirty) => self
+                .axioms
+                .iter()
+                .filter(|a| {
+                    let mut fields = a.lhs().symbols();
+                    fields.extend(a.rhs().symbols());
+                    fields.iter().all(|f| !dirty.contains(f))
+                })
+                .cloned()
+                .collect(),
         }
-        self.axioms
-            .iter()
-            .filter(|a| {
-                let mut fields = a.lhs().symbols();
-                fields.extend(a.rhs().symbols());
-                fields.iter().all(|f| !dirty.contains(f))
-            })
-            .cloned()
-            .collect()
     }
 
     /// Builds the memory-reference pairs for a sequential dependence query
@@ -802,23 +907,23 @@ impl Analysis {
         Ok(tester.test(&ri, &rj, HandleRelation::Same))
     }
 
-    /// Resolves one [`BatchQuery`] to its memory-reference pairs and the
-    /// axiom set valid at the points it touches.
+    /// Resolves one [`BatchQuery`] to its memory-reference pairs and what
+    /// §3.4 suspends at the points it touches.
     fn plan_query(
         &self,
         query: &BatchQuery,
-    ) -> Result<(Vec<(MemRef, MemRef)>, AxiomSet), QueryError> {
+    ) -> Result<(Vec<(MemRef, MemRef)>, Suspended), QueryError> {
         match query {
             BatchQuery::Sequential { from, to } => {
                 let pairs = self.sequential_pairs(from, to)?;
                 let s = self.snapshot(from).expect("checked above");
                 let t = self.snapshot(to).expect("checked above");
-                Ok((pairs, self.valid_axioms(&[s, t])))
+                Ok((pairs, self.suspended(&[s, t])))
             }
             BatchQuery::LoopCarried { label, loop_label } => {
                 let pair = self.loop_carried_pair(label, loop_label.as_deref())?;
                 let snap = self.snapshot(label).expect("checked above");
-                Ok((vec![pair], self.valid_axioms(&[snap])))
+                Ok((vec![pair], self.suspended(&[snap])))
             }
         }
     }
@@ -829,34 +934,47 @@ impl Analysis {
     /// Verdict-identical to running [`Analysis::test_sequential`] /
     /// [`Analysis::test_loop_carried`] per query: each query's pairs are
     /// resolved the same way, and the same first-definite-else-last
-    /// selection applies. Queries whose points agree on the valid axiom
-    /// set (compared by content — §3.4 may suspend different axioms at
-    /// different points) share one [`DepEngine`] and therefore one
-    /// proof/subset/DFA cache; each shared engine fans its queries out
-    /// over [`BatchOptions::jobs`] threads via [`DepTest::test_batch`].
+    /// selection applies. Queries whose points suspend the same axioms
+    /// (§3.4 may suspend different axioms at different points) share one
+    /// [`DepEngine`] and therefore one proof/subset/DFA cache; each shared
+    /// engine fans its queries out over [`BatchOptions::jobs`] threads via
+    /// [`DepTest::test_batch`].
     ///
     /// One outcome (or [`QueryError`]) is returned per input query, in
     /// order, in [`BatchReport::results`].
     pub fn run_batch(&self, queries: &[BatchQuery], options: &BatchOptions) -> BatchReport {
+        self.run_batch_on(queries, options, &mut Engines::default())
+    }
+
+    /// [`Analysis::run_batch`] on the engines of `engines`, building the
+    /// ones it lacks: the one grouping and engine path behind both that
+    /// and [`crate::ProgramAnalysis::run`]. Each query runs under this
+    /// analysis's budget and roster, whichever run built its engine.
+    pub(crate) fn run_batch_on(
+        &self,
+        queries: &[BatchQuery],
+        options: &BatchOptions,
+        engines: &mut Engines,
+    ) -> BatchReport {
         struct Slot {
             group: usize,
             range: Range<usize>,
         }
         type Tasks = Vec<(MemRef, MemRef, HandleRelation)>;
-        // Group queries by axiom-set content. `AxiomSet` identity is
-        // per-construction, so the rendered form is the grouping key.
-        let mut group_of: HashMap<String, usize> = HashMap::new();
-        let mut groups: Vec<(DepTest, Tasks)> = Vec::new();
+        let mut groups: Vec<(Suspended, Tasks)> = Vec::new();
         let mut slots: Vec<Result<Slot, QueryError>> = Vec::with_capacity(queries.len());
         for query in queries {
             match self.plan_query(query) {
                 Err(e) => slots.push(Err(e)),
-                Ok((pairs, axioms)) => {
-                    let key = axioms.to_string();
-                    let group = *group_of.entry(key).or_insert_with(|| {
-                        groups.push((self.tester(axioms), Vec::new()));
-                        groups.len() - 1
-                    });
+                Ok((pairs, suspended)) => {
+                    // A procedure's points suspend few distinct field sets.
+                    let group = match groups.iter().position(|(s, _)| *s == suspended) {
+                        Some(group) => group,
+                        None => {
+                            groups.push((suspended, Vec::new()));
+                            groups.len() - 1
+                        }
+                    };
                     let tasks = &mut groups[group].1;
                     let start = tasks.len();
                     tasks.extend(pairs.into_iter().map(|(s, t)| (s, t, HandleRelation::Same)));
@@ -867,14 +985,21 @@ impl Analysis {
                 }
             }
         }
+        let mut cache = CacheStats::default();
         let outcomes: Vec<Vec<TestOutcome>> = groups
             .iter()
-            .map(|(tester, tasks)| tester.test_batch(tasks, options.jobs))
+            .map(|(suspended, tasks)| {
+                let engine =
+                    engines.engine(&self.config, suspended, || self.axioms_under(suspended));
+                let before = engine.cache_stats();
+                let tester = DepTest::with_portfolio(
+                    Portfolio::new(engine, self.portfolio.clone()).with_tallies(&self.tallies),
+                );
+                let outcomes = tester.test_batch(tasks, options.jobs);
+                cache.absorb(&tester.engine().cache_stats().since(&before));
+                outcomes
+            })
             .collect();
-        let mut cache = CacheStats::default();
-        for (tester, _) in &groups {
-            cache.absorb(&tester.engine().cache_stats());
-        }
         let results = slots
             .into_iter()
             .map(|slot| {

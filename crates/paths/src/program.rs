@@ -30,8 +30,18 @@
 //! * a definite verdict is only ever stored with the proofs that earned
 //!   it, and a sample is re-checked on import — a tampered entry is
 //!   discarded whole and the procedure re-proves cold.
+//!
+//! Queries that re-prove do so on warm engines. A run proves every
+//! procedure's queries on one [`apt_core::DepEngine`] per distinct valid
+//! axiom set, and the table it returns keeps those engines in memory, so
+//! the next run against it answers edits, `Maybe`s and proof-less `No`s
+//! from their settled-goal caches (§4.2) rather than compiling the axioms
+//! again and searching cold. Engines never reach a snapshot or a
+//! `--baseline` file, are carried only to a run over the same axiom text,
+//! and are used only under identical prover rules; each run's own budget
+//! and engine roster govern its queries.
 
-use crate::analysis::{analyze_proc, Analysis, BatchOptions, BatchQuery, QueryError};
+use crate::analysis::{analyze_proc, Analysis, BatchOptions, BatchQuery, Engines, QueryError};
 use apt_core::{
     check_proof, Answer, CacheStats, PortfolioConfig, Proof, ProverConfig, TallySink, TestOutcome,
     Witness,
@@ -102,17 +112,37 @@ pub struct ProcVerdicts {
 }
 
 /// A whole-program dependence table: per-procedure definite verdicts plus
-/// the content hashes that decide whether they may be replayed.
+/// the content hashes that decide whether they may be replayed, and the
+/// warm engines the run that produced it proved on.
 #[derive(Debug, Clone, Default)]
 pub struct DepTable {
     /// Per-procedure entries, in program order.
     pub procs: Vec<ProcVerdicts>,
+    /// The engines the next run against this table proves on. Memory
+    /// only: snapshot sections and `--baseline` files hold the verdicts
+    /// alone, and restoring one starts without engines.
+    engines: Engines,
 }
 
 impl DepTable {
     /// An empty table (everything analyzes cold).
     pub fn new() -> DepTable {
         DepTable::default()
+    }
+
+    /// A table of persisted verdicts with no warm engines: what a
+    /// snapshot or `--baseline` file restores.
+    pub fn from_procs(procs: Vec<ProcVerdicts>) -> DepTable {
+        DepTable {
+            procs,
+            engines: Engines::default(),
+        }
+    }
+
+    /// How many warm engines the table carries to the next run: one per
+    /// distinct valid axiom set the run that produced it proved under.
+    pub fn warm_engines(&self) -> usize {
+        self.engines.len()
     }
 
     /// The entry for a procedure, if present.
@@ -307,9 +337,15 @@ impl ProgramAnalysis {
     /// unverifiable, so it never replays: a `No` replays only on the
     /// strength of a checkable proof. Such verdicts re-prove each run,
     /// which costs what the dispatch prune costs — not a prover call.
+    ///
+    /// Every procedure's re-proved queries run on the baseline's warm
+    /// engines when it carries engines for this program's axiom set, and
+    /// on engines built here otherwise; the returned table carries them
+    /// on (see the module docs).
     pub fn run(&self, baseline: Option<&DepTable>, options: &BatchOptions) -> ProgramReport {
         let mut procs = Vec::with_capacity(self.procs.len());
-        let mut table = DepTable::new();
+        let mut engines = Engines::carried(baseline.map(|t| &t.engines), self.axioms_hash);
+        let mut entries = Vec::with_capacity(self.procs.len());
         for unit in &self.procs {
             let queries = unit.analysis.all_queries();
             let entry = baseline
@@ -340,7 +376,7 @@ impl ProgramAnalysis {
             let (mut fresh_results, cache) = if fresh.is_empty() {
                 (Vec::new().into_iter(), CacheStats::default())
             } else {
-                let report = unit.analysis.run_batch(&fresh, options);
+                let report = unit.analysis.run_batch_on(&fresh, options, &mut engines);
                 (report.results.into_iter(), report.cache)
             };
 
@@ -378,7 +414,7 @@ impl ProgramAnalysis {
                     outcome,
                 });
             }
-            table.procs.push(ProcVerdicts {
+            entries.push(ProcVerdicts {
                 proc_name: unit.name.clone(),
                 body_hash: unit.body_hash,
                 axioms_hash: self.axioms_hash,
@@ -393,7 +429,13 @@ impl ProgramAnalysis {
                 cache,
             });
         }
-        ProgramReport { procs, table }
+        ProgramReport {
+            procs,
+            table: DepTable {
+                procs: entries,
+                engines,
+            },
+        }
     }
 
     /// Structural + proof-sample validation of a hash-matched baseline
@@ -484,9 +526,9 @@ pub struct ProcReport {
     pub reproved: usize,
     /// Per-query rows, in [`Analysis::all_queries`] order.
     pub rows: Vec<ReportRow>,
-    /// Engine cache statistics for this procedure's fresh batch (all
-    /// zeros when everything replayed — the assertion hook for "untouched
-    /// procedures never touch the prover").
+    /// The cache entries this procedure's fresh batch added to the run's
+    /// engines (all zeros when everything replayed — the assertion hook
+    /// for "untouched procedures never touch the prover").
     pub cache: CacheStats,
 }
 

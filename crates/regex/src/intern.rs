@@ -417,11 +417,21 @@ impl ArenaScope {
     /// Opens a new retention epoch. The calling thread is in it until the
     /// scope drops.
     pub fn new() -> ArenaScope {
+        let scope = ArenaScope::detached();
+        ENTERED.with(|entered| entered.borrow_mut().push(scope.id));
+        scope
+    }
+
+    /// Opens a new retention epoch that no thread is in until it
+    /// [`ArenaScope::enter`]s. For a scope that outlives the call opening
+    /// it, such as a warm engine kept for later requests: with
+    /// [`ArenaScope::new`] the opening thread would stay in it, and all
+    /// its later interning would be charged here instead of pinned.
+    pub fn detached() -> ArenaScope {
         let id = arena()
             .lock()
             .expect("regex interner poisoned")
             .scope_open();
-        ENTERED.with(|entered| entered.borrow_mut().push(id));
         ArenaScope { id }
     }
 

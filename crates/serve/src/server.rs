@@ -1358,4 +1358,61 @@ mod tests {
         assert!(!inline(&ctx, &failed(vec![("engines", "all".into())])));
         ctx.pool.drain();
     }
+
+    #[test]
+    fn a_cancelled_analyze_leaves_a_table_that_answers_like_a_cold_one() {
+        const PROGRAM: &str = "type T {\n    ptr L: T;\n    ptr R: T;\n    ptr N: T;\n    \
+            data d;\n    axiom A1: forall p, p.L <> p.R;\n    \
+            axiom A3: forall p <> q, p.N <> q.N;\n}\n\
+            proc subr(root: T) {\n    p = root->L;\n    p = p->N;\nS:  p->d = 1;\n    \
+            q = root->R;\n    q = q->N;\nT:  t = q->d;\n}\n";
+        let ctx = test_ctx();
+        let analyze = |name: &str, cancel: &CancelToken| {
+            let line = obj(vec![
+                ("verb", "analyze".into()),
+                ("program", PROGRAM.into()),
+                ("name", name.into()),
+            ])
+            .render();
+            let LineOutcome::Job { work, .. } = handle_line(&ctx, &line, cancel) else {
+                panic!("analyze runs on the pool");
+            };
+            let frame = work();
+            let Some(Json::Arr(procs)) = frame.get("procs") else {
+                panic!("procs missing: {frame:?}");
+            };
+            let mut answers = Vec::new();
+            for proc in procs {
+                let Some(Json::Arr(rows)) = proc.get("queries") else {
+                    panic!("queries missing: {proc:?}");
+                };
+                for row in rows {
+                    answers.push((row.get("query").cloned(), row.get("answer").cloned()));
+                }
+            }
+            (answers, frame.get("any_maybe").cloned())
+        };
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let (_, any_maybe) = analyze("t", &cancelled);
+        assert_eq!(
+            any_maybe,
+            Some(Json::Bool(true)),
+            "a cancelled run proves nothing"
+        );
+        let warm_engines = |name: &str| {
+            let tables = ctx.tables.lock().unwrap_or_else(PoisonError::into_inner);
+            tables.get(name).map_or(0, DepTable::warm_engines)
+        };
+        assert!(
+            warm_engines("t") > 0,
+            "the table keeps the cancelled run's engine"
+        );
+        let (fresh, fresh_maybe) = analyze("t", &CancelToken::new());
+        let (cold, cold_maybe) = analyze("cold", &CancelToken::new());
+        assert_eq!(fresh_maybe, Some(Json::Bool(false)));
+        assert_eq!(fresh_maybe, cold_maybe);
+        assert_eq!(fresh, cold);
+        ctx.pool.drain();
+    }
 }

@@ -634,7 +634,7 @@ impl<'a> Cursor<'a> {
         let n = self.count(1)?;
         let mut children = Vec::with_capacity(n);
         for _ in 0..n {
-            children.push(self.proof(depth + 1)?);
+            children.push(Arc::new(self.proof(depth + 1)?));
         }
         Ok(Proof {
             goal,
@@ -727,7 +727,7 @@ fn decode_analyze_payload(payload: &[u8]) -> Result<DepTable, SnapshotError> {
             cur.remaining()
         )));
     }
-    Ok(DepTable { procs })
+    Ok(DepTable::from_procs(procs))
 }
 
 /// Decodes a snapshot file image, yielding one outcome per section.
@@ -976,13 +976,13 @@ mod tests {
         let proof = Proof {
             goal: goal.clone(),
             rule: Rule::HeadPeel { field: "L".into() },
-            children: vec![Proof::leaf(
+            children: vec![Arc::new(Proof::leaf(
                 goal.clone(),
                 Rule::Axiom {
                     axiom: "A1".into(),
                     swapped: true,
                 },
-            )],
+            ))],
         };
         let star_chain = Regex::concat(
             Regex::field("L"),
@@ -1031,33 +1031,31 @@ mod tests {
         );
         AnalyzeSection {
             name: "default".into(),
-            table: DepTable {
-                procs: vec![ProcVerdicts {
-                    proc_name: "update".into(),
-                    body_hash: 0xdead_beef_cafe_f00d,
-                    axioms_hash: 42,
-                    verdicts: vec![
-                        StoredVerdict {
-                            query: "carried U".into(),
-                            answer: Answer::No,
-                            proofs: vec![proof],
-                            witness: None,
-                        },
-                        StoredVerdict {
-                            query: "S vs T".into(),
-                            answer: Answer::Yes,
-                            proofs: Vec::new(),
-                            witness: Some(Witness {
-                                nodes: 3,
-                                edges: vec![(0, "link".into(), 1), (1, "link".into(), 2)],
-                                p_origin: 0,
-                                q_origin: 0,
-                                meet: 2,
-                            }),
-                        },
-                    ],
-                }],
-            },
+            table: DepTable::from_procs(vec![ProcVerdicts {
+                proc_name: "update".into(),
+                body_hash: 0xdead_beef_cafe_f00d,
+                axioms_hash: 42,
+                verdicts: vec![
+                    StoredVerdict {
+                        query: "carried U".into(),
+                        answer: Answer::No,
+                        proofs: vec![proof],
+                        witness: None,
+                    },
+                    StoredVerdict {
+                        query: "S vs T".into(),
+                        answer: Answer::Yes,
+                        proofs: Vec::new(),
+                        witness: Some(Witness {
+                            nodes: 3,
+                            edges: vec![(0, "link".into(), 1), (1, "link".into(), 2)],
+                            p_origin: 0,
+                            q_origin: 0,
+                            meet: 2,
+                        }),
+                    },
+                ],
+            }]),
         }
     }
 

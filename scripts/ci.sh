@@ -3,6 +3,21 @@
 # Run from the repository root; fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+ROOT=$(pwd)
+
+# The run must leave every tracked file as it found it: compared at the
+# end, so a tree with uncommitted edits can still be checked.
+tracked_state() { git diff --binary HEAD | git hash-object --stdin; }
+TRACKED_BEFORE=$(tracked_state)
+
+# The crates/bench smokes write BENCH_*.json to their working directory;
+# they run in this temporary directory so the tracked copies stay as they are.
+BENCHDIR=$(mktemp -d /tmp/apt-bench-smoke.XXXXXX)
+trap 'rm -rf "$BENCHDIR"' EXIT
+bench_smoke() {
+    (cd "$BENCHDIR" && cargo run -q --release --manifest-path "$ROOT/Cargo.toml" \
+        -p apt-bench --bin "$1" -- --smoke)
+}
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
@@ -24,13 +39,13 @@ cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> batch throughput benchmark (smoke: 1 repetition)"
-cargo run -q --release -p apt-bench --bin batch_throughput -- --smoke
+bench_smoke batch_throughput
 
 echo "==> subset-kernel latency benchmark (smoke: verdict identity)"
 # The bin itself exits nonzero on any kernel disagreement; double-check the
 # recorded artifact so a silent write failure cannot pass the gate.
-cargo run -q --release -p apt-bench --bin subset_latency -- --smoke
-if ! grep -q '"verdicts_identical": true' BENCH_subset.json; then
+bench_smoke subset_latency
+if ! grep -q '"verdicts_identical": true' "$BENCHDIR/BENCH_subset.json"; then
     echo "error: BENCH_subset.json does not record identical verdicts" >&2
     exit 1
 fi
@@ -38,8 +53,8 @@ fi
 echo "==> prover throughput benchmark (smoke: indexed vs linear parity)"
 # The bin exits nonzero if the indexed search diverges from the linear
 # axiom scan on any verdict; double-check the recorded artifact too.
-cargo run -q --release -p apt-bench --bin prover_throughput -- --smoke
-if ! grep -q '"verdicts_identical": true' BENCH_prover.json; then
+bench_smoke prover_throughput
+if ! grep -q '"verdicts_identical": true' "$BENCHDIR/BENCH_prover.json"; then
     echo "error: BENCH_prover.json does not record identical verdicts" >&2
     exit 1
 fi
@@ -85,8 +100,8 @@ fi
 echo "==> incremental analyze benchmark (smoke: verdict parity)"
 # The bin exits nonzero if any incremental verdict diverges from the
 # from-scratch run; double-check the recorded artifact too.
-cargo run -q --release -p apt-bench --bin analyze_incremental -- --smoke
-if ! grep -q '"verdicts_identical": true' BENCH_analyze.json; then
+bench_smoke analyze_incremental
+if ! grep -q '"verdicts_identical": true' "$BENCHDIR/BENCH_analyze.json"; then
     echo "error: BENCH_analyze.json does not record identical verdicts" >&2
     exit 1
 fi
@@ -95,8 +110,8 @@ echo "==> portfolio maybe-rate benchmark (smoke: witness + parity gate)"
 # The bin exits nonzero if a definite verdict diverges between the
 # axiomatic prover and the portfolio, a witness fails re-validation, or
 # the portfolio fails to collapse any Maybe; double-check the artifact.
-cargo run -q --release -p apt-bench --bin portfolio_maybe_rate -- --smoke
-if ! grep -q '"behaved": true' BENCH_portfolio.json; then
+bench_smoke portfolio_maybe_rate
+if ! grep -q '"behaved": true' "$BENCHDIR/BENCH_portfolio.json"; then
     echo "error: BENCH_portfolio.json does not record a well-behaved run" >&2
     exit 1
 fi
@@ -105,31 +120,33 @@ echo "==> serve throughput benchmark (smoke: warm-session parity + overload)"
 # The bin exits nonzero if any warm-session verdict diverges from the
 # in-process oracle or admission control misbehaves; double-check the
 # recorded artifact too.
-cargo run -q --release -p apt-bench --bin serve_throughput -- --smoke
-if ! grep -q '"verdicts_identical": true' BENCH_serve.json; then
+bench_smoke serve_throughput
+if ! grep -q '"verdicts_identical": true' "$BENCHDIR/BENCH_serve.json"; then
     echo "error: BENCH_serve.json does not record identical verdicts" >&2
     exit 1
 fi
-if ! grep -q '"behaved": true' BENCH_serve.json; then
+if ! grep -q '"behaved": true' "$BENCHDIR/BENCH_serve.json"; then
     echo "error: BENCH_serve.json does not record a well-behaved overload probe" >&2
     exit 1
 fi
 # The restart probe must restore warm, answer identically, and beat a cold
 # restart by >=3x (the bin enforces the threshold; "behaved" records it).
-if ! grep -Eq '"restart": \{.*"restore": "warm".*"behaved": true' BENCH_serve.json; then
+if ! grep -Eq '"restart": \{.*"restore": "warm".*"behaved": true' "$BENCHDIR/BENCH_serve.json"; then
     echo "error: BENCH_serve.json does not record a well-behaved warm restart" >&2
     exit 1
 fi
 # The concurrency probe must hold its idle crowd with zero thread growth,
 # identical verdicts, and recorded latency quantiles.
-if ! grep -Eq '"concurrency": \{.*"behaved": true' BENCH_serve.json; then
+if ! grep -Eq '"concurrency": \{.*"behaved": true' "$BENCHDIR/BENCH_serve.json"; then
     echo "error: BENCH_serve.json does not record a well-behaved concurrency probe" >&2
     exit 1
 fi
-if ! grep -Eq '"concurrency": \{.*"p99_us": [0-9]+' BENCH_serve.json; then
+if ! grep -Eq '"concurrency": \{.*"p99_us": [0-9]+' "$BENCHDIR/BENCH_serve.json"; then
     echo "error: BENCH_serve.json concurrency section lacks latency quantiles" >&2
     exit 1
 fi
+trap - EXIT
+rm -rf "$BENCHDIR"
 
 echo "==> connections must be reactor state, never threads"
 # The epoll rewrite removed the accept-loop's two-threads-per-connection
@@ -593,6 +610,13 @@ dyck_rc=0
     || dyck_rc=$?
 if [[ "$dyck_rc" -ne 2 ]]; then
     echo "error: --engines dyck should be a usage error (exit 2), got exit $dyck_rc" >&2
+    exit 1
+fi
+
+echo "==> the run left every tracked file as it found it"
+if [[ "$(tracked_state)" != "$TRACKED_BEFORE" ]]; then
+    echo "error: the CI run changed tracked files:" >&2
+    git diff --stat HEAD >&2
     exit 1
 fi
 

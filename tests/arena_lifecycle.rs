@@ -230,3 +230,41 @@ fn batch_worker_interns_are_charged_to_the_engine() {
     assert_eq!(arena_stats().pinned_nodes, pinned_before);
     assert!(arena_stats().freed_total > freed_before);
 }
+
+/// A whole-program run leaves the engines it carries in its table, and
+/// the thread that built them in none of their scopes: what it interns
+/// afterwards is pinned, not charged to the table and compacted with it.
+#[test]
+fn an_analysis_run_leaves_its_carried_engines_scopes() {
+    let _guard = serialize();
+    let program = apt::ir::parse_program(
+        "type AlcRun {\n    ptr alcRunNext: AlcRun;\n    data alcRunVal;\n    \
+         axiom A1: forall p <> q, p.alcRunNext <> q.alcRunNext;\n    \
+         axiom A2: forall p, p.alcRunNext+ <> p.eps;\n}\n\
+         proc walk(h: AlcRun) {\n    q = h;\n    loop {\n    \
+         U:  q->alcRunVal = 1;\n        q = q->alcRunNext->alcRunNext;\n    }\n}\n",
+    )
+    .expect("program parses");
+    let scopes_before = arena_stats().active_scopes;
+    let report = apt::paths::analyze_program(&program).run(None, &apt::paths::BatchOptions::new());
+    assert!(report.table.warm_engines() > 0);
+    assert_eq!(
+        arena_stats().active_scopes,
+        scopes_before + report.table.warm_engines(),
+        "each carried engine holds its scope open"
+    );
+
+    let after_run = RegexId::intern(&parse("alcRunAfterA.alcRunAfterB+").unwrap());
+    let freed_before = arena_stats().freed_total;
+    drop(report);
+    assert_eq!(arena_stats().active_scopes, scopes_before);
+    assert!(
+        arena_stats().freed_total > freed_before,
+        "dropping the table compacts what its engines interned"
+    );
+    assert_eq!(
+        after_run.to_regex().to_string(),
+        "alcRunAfterA.alcRunAfterB+"
+    );
+    assert!(!after_run.is_nullable());
+}

@@ -16,11 +16,17 @@
 //!    away; either way the verdicts still equal the cold run's.
 //!
 //! Randomness is a seeded xorshift so every failure reproduces.
+//!
+//! The table also carries the run's warm engines. The last tests pin
+//! what they may and may not change: a re-run proves nothing new on them,
+//! engines from other rules or a cancelled run cost nothing but warmth,
+//! and what reaches a snapshot is the same bytes as without them.
 
+use apt::core::{Budget, CacheStats, CancelToken, ProverConfig};
 use apt::prelude::{analyze_program, parse_program, Answer, BatchOptions, RowOutcome};
 use apt::serve::snapshot;
 use apt::serve::{AnalyzeSection, SectionOutcome, Snapshot};
-use apt_paths::{DepTable, ProgramReport};
+use apt_paths::{fnv1a, DepTable, ProgramReport};
 
 /// Deterministic xorshift64* PRNG — no clock, no global state.
 struct Rng(u64);
@@ -238,5 +244,159 @@ fn corrupted_snapshot_tables_fall_back_cold_never_wrong() {
             want,
             "trial {trial}: corrupted table changed a verdict"
         );
+    }
+}
+
+/// A program whose proofs need the structural rules (tail and head
+/// peels, Kleene induction): `direct_only` rules leave them `Maybe`.
+const RULES_PROGRAM: &str = r"
+    type LLBinaryTree {
+        ptr L: LLBinaryTree;
+        ptr R: LLBinaryTree;
+        ptr N: LLBinaryTree;
+        data d;
+        axiom A1: forall p, p.L <> p.R;
+        axiom A2: forall p <> q, p.(L|R) <> q.(L|R);
+        axiom A3: forall p <> q, p.N <> q.N;
+        axiom A4: forall p, p.(L|R|N)+ <> p.eps;
+    }
+    proc subr(root: LLBinaryTree) {
+        root = root->L;
+        p = root->L;
+        p = p->N;
+    S:  p->d = 100;
+        p = root;
+        q = root->R;
+        q = q->N;
+    T:  t = q->d;
+    }
+    proc walk(root: LLBinaryTree) {
+        w = root;
+        loop {
+        U:  w->d = 1;
+            w = w->N;
+        }
+    V:  root->d = 2;
+    }";
+
+fn run_text(text: &str, config: ProverConfig, baseline: Option<&DepTable>) -> ProgramReport {
+    let program = parse_program(text).expect("program parses");
+    analyze_program(&program)
+        .with_prover_config(config)
+        .run(baseline, &BatchOptions::new())
+}
+
+#[test]
+fn an_unchanged_rerun_reproves_on_warm_engines_without_new_work() {
+    let specs: Vec<ProcSpec> = (0..6)
+        .map(|i| ProcSpec {
+            shape: i,
+            constant: 10 + i as u64,
+        })
+        .collect();
+    for text in [render(&specs), RULES_PROGRAM.to_owned()] {
+        let cold = run_text(&text, ProverConfig::default(), None);
+        assert!(cold.table.warm_engines() > 0);
+        let warm = run_text(&text, ProverConfig::default(), Some(&cold.table));
+        assert_eq!(answers(&warm), answers(&cold));
+        assert!(warm.reproved() > 0, "the fixture has Maybes to re-prove");
+        for proc in &warm.procs {
+            assert!(proc.reused, "{}", proc.name);
+            assert_eq!(proc.cache, CacheStats::default(), "{}", proc.name);
+            for row in &proc.rows {
+                if let RowOutcome::Fresh(outcome) = &row.outcome {
+                    assert_eq!(outcome.stats.goals_attempted, 0, "{}", row.key);
+                    assert_eq!(outcome.stats.subset_checks, 0, "{}", row.key);
+                }
+            }
+        }
+        assert_eq!(warm.table.warm_engines(), cold.table.warm_engines());
+    }
+}
+
+#[test]
+fn engines_from_other_rules_or_a_cancelled_run_answer_like_a_cold_run() {
+    let cold = run_text(RULES_PROGRAM, ProverConfig::default(), None);
+    let want = answers(&cold);
+
+    // An engine built under weaker rules caches failures those rules
+    // could not avoid; reused by a full-rule run it would turn Nos into
+    // Maybes.
+    let weak = run_text(RULES_PROGRAM, ProverConfig::direct_only(), None);
+    assert_ne!(answers(&weak), want, "direct_only rules must lose a proof");
+    assert!(weak.table.warm_engines() > 0);
+    let after = run_text(RULES_PROGRAM, ProverConfig::default(), Some(&weak.table));
+    assert_eq!(answers(&after), want);
+
+    // An engine built under a cancelled token: its run proved nothing,
+    // and the next run must not inherit the token.
+    let token = CancelToken::new();
+    token.cancel();
+    let cancelled = run_text(
+        RULES_PROGRAM,
+        ProverConfig::with_budget(Budget::new().with_cancel(token)),
+        None,
+    );
+    assert_ne!(answers(&cancelled), want, "a cancelled run proves nothing");
+    assert!(cancelled.table.warm_engines() > 0);
+    let after = run_text(
+        RULES_PROGRAM,
+        ProverConfig::default(),
+        Some(&cancelled.table),
+    );
+    assert_eq!(answers(&after), want);
+}
+
+#[test]
+fn an_axiom_edit_drops_the_warm_engines() {
+    let cold = run_text(RULES_PROGRAM, ProverConfig::default(), None);
+    let edited = RULES_PROGRAM.replace("axiom A1: forall p, p.L <> p.R;", "");
+    let after = run_text(&edited, ProverConfig::default(), Some(&cold.table));
+    assert_eq!(after.procs_reused(), 0);
+    assert_eq!(
+        answers(&after),
+        answers(&run_text(&edited, ProverConfig::default(), None))
+    );
+    // Its engines are new ones, built for the edited axioms; none of
+    // the old set's came along.
+    assert!(after.procs.iter().any(|p| p.cache.proved_goals > 0));
+}
+
+#[test]
+fn snapshot_bytes_and_proof_text_match_the_committed_fixtures() {
+    // Digests of each shipped program's cold-table proof text and
+    // snapshot bytes: shared subproofs must not change what is printed
+    // or persisted.
+    let fixtures = [
+        ("factor", 0xcd91_8531_5a5e_a521, 147, 0xae81_0f6f_0f32_37f4),
+        ("subr", 0x98f9_ad75_c116_561d, 240, 0x4df0_df89_c918_4f8e),
+        ("twoproc", 0xee30_1f88_4e1f_cd9b, 188, 0x75ab_629b_aad6_72f1),
+    ];
+    for (name, text_digest, len, bytes_digest) in fixtures {
+        let path = format!(
+            "{}/examples/programs/{name}.apt",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let text = std::fs::read_to_string(&path).expect("fixture");
+        let report = run_text(&text, ProverConfig::default(), None);
+        let proofs: String = report
+            .table
+            .procs
+            .iter()
+            .flat_map(|e| &e.verdicts)
+            .flat_map(|v| &v.proofs)
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(fnv1a(proofs.as_bytes()), text_digest, "{name}: proof text");
+        let bytes = snapshot::encode(&Snapshot {
+            created_unix_ms: 1,
+            sections: Vec::new(),
+            analyses: vec![AnalyzeSection {
+                name: "default".into(),
+                table: report.table,
+            }],
+        });
+        assert_eq!(bytes.len(), len, "{name}: snapshot length");
+        assert_eq!(fnv1a(&bytes), bytes_digest, "{name}: snapshot bytes");
     }
 }
