@@ -10,17 +10,13 @@
 //!
 //! Runnable binaries print the tables (`table_speedup`, `table_accuracy`,
 //! `table_complexity`); Criterion benches in `benches/` time the kernels
-//! and the prover.
+//! and the prover. Throughput and latency of the prover, the engine, the
+//! daemon and `apt analyze` are measured by `perfbench/`, the
+//! repository's benchmark, with repeated runs and recorded spread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accuracy;
-pub mod analyze;
-pub mod batch;
 pub mod complexity;
 pub mod fig7;
-pub mod portfolio;
-pub mod prover_throughput;
-pub mod serve;
-pub mod subset;

@@ -66,8 +66,8 @@ const SUBSET_SHARD_CAPACITY: usize = 16384;
 /// Batches with fewer unique queries than this run inline on the calling
 /// thread regardless of the requested `jobs`: spawning workers, splitting
 /// the deadline, and bouncing the shared cache across threads costs more
-/// than it buys until a batch carries real work (see `BENCH_batch.json` —
-/// small fan-outs used to *lose* throughput as `jobs` grew).
+/// than it buys until a batch carries real work (small fan-outs used to
+/// *lose* throughput as `jobs` grew).
 pub const INLINE_BATCH_THRESHOLD: usize = 128;
 
 /// A settled, context-free result for one goal.

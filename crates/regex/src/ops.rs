@@ -59,9 +59,10 @@ pub fn try_is_subset(a: &Regex, b: &Regex, limits: &Limits) -> Result<bool, Limi
 /// `L(a) ⊆ L(b)` by the pre-arena kernel: build both DFAs, materialize the
 /// complement and the full product, then ask emptiness.
 ///
-/// Kept as an independent reference implementation for cross-validation
-/// (the property suite pits [`try_is_subset`]'s early-exit walk against
-/// it) and as the baseline the `subset_latency` benchmark measures.
+/// Kept as an independent reference implementation for cross-validation:
+/// the property suite pits [`try_is_subset`]'s early-exit walk against
+/// it, and `tests/sparse_theorem.rs` checks [`try_is_subset_interned`]
+/// against it on every Figure 7 subset pair.
 ///
 /// # Errors
 ///

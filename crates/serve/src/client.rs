@@ -1,7 +1,7 @@
 //! A small synchronous client for the daemon's wire protocol.
 //!
-//! Used by `apt client`, the loopback test suite, and the
-//! `serve_throughput` bench. One [`Client`] owns one connection and
+//! Used by `apt client`, the loopback test suite, and perfbench's
+//! serve-warm workload. One [`Client`] owns one connection and
 //! does strict request/response turns; open several clients for
 //! concurrency.
 //!

@@ -13,9 +13,8 @@
 //!   This is how worker threads hand completed replies back to the
 //!   reactor and how [`crate::server::ServerHandle::stop`] interrupts a
 //!   sleeping server without polling.
-//! * [`nofile_limit`] — `RLIMIT_NOFILE`, so callers (the concurrency
-//!   bench, `--max-connections` defaulting) can scale connection counts
-//!   to what the kernel will actually allow.
+//! * [`nofile_limit`] — `RLIMIT_NOFILE`, so `--max-connections` can
+//!   default to what the kernel will actually allow.
 //!
 //! This is the only module in the crate allowed to use `unsafe`; the
 //! crate root holds `deny(unsafe_code)` and everything above this layer

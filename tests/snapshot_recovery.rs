@@ -89,8 +89,8 @@ impl Daemon {
     }
 }
 
-/// One verdict fingerprint per suite query, via a fresh client.
-fn collect_verdicts(sock: &Path) -> Vec<String> {
+/// Every suite query's `prove` result, via a fresh client.
+fn prove_suite(sock: &Path) -> Vec<Json> {
     let mut client = Client::connect_unix(sock).expect("connect");
     let session = client
         .open_session(&leaf_linked_tree_axioms().to_string())
@@ -98,14 +98,23 @@ fn collect_verdicts(sock: &Path) -> Vec<String> {
     QUERIES
         .iter()
         .map(|&(a, b, distinct)| {
-            let result = client
+            client
                 .prove_disjoint(&session, a, b, distinct)
-                .expect("prove round-trip");
-            let verdict = apt_serve::proto::parse_verdict(&result).expect("verdict parses");
-            let has_proof = !matches!(result.get("proof"), None | Some(Json::Null));
-            format!("{verdict:?} proof={has_proof}")
+                .expect("prove round-trip")
         })
         .collect()
+}
+
+/// A `prove` result's verdict fingerprint.
+fn fingerprint(result: &Json) -> String {
+    let verdict = apt_serve::proto::parse_verdict(result).expect("verdict parses");
+    let has_proof = !matches!(result.get("proof"), None | Some(Json::Null));
+    format!("{verdict:?} proof={has_proof}")
+}
+
+/// One verdict fingerprint per suite query, via a fresh client.
+fn collect_verdicts(sock: &Path) -> Vec<String> {
+    prove_suite(sock).iter().map(fingerprint).collect()
 }
 
 /// The `snapshot` block of the `stats` reply.
@@ -162,10 +171,28 @@ fn assert_recovers(dir: &Path, sock: &Path, oracle: &[String], want_restore: &st
 #[test]
 fn intact_snapshot_restores_warm() {
     let (dir, sock, oracle) = warm_snapshot("warm");
-    let snap = assert_recovers(&dir, &sock, &oracle, "warm");
+    let daemon = start(&sock, snapshot_config(&dir));
+    let results = prove_suite(&sock);
+    let snap = snapshot_stats(&sock);
+    daemon.stop();
+    let verdicts: Vec<String> = results.iter().map(fingerprint).collect();
+    assert_eq!(verdicts, oracle, "verdicts must match a cold start");
+    assert_eq!(stat_str(&snap, "last_restore"), "warm", "{snap:?}");
     assert!(stat_u64(&snap, "restored_goals") > 0, "{snap:?}");
     assert!(stat_u64(&snap, "restored_bytes") > 0, "{snap:?}");
     assert_eq!(stat_u64(&snap, "restored_sessions"), 1, "{snap:?}");
+    // Warmth as a count, not a clock: every query is answered from the
+    // restored cache without attempting a single goal. A cold restart
+    // attempts at least one goal per query.
+    for (result, query) in results.iter().zip(QUERIES) {
+        let stats = result.get("stats").expect("prove result carries stats");
+        assert_eq!(
+            stat_u64(stats, "goals_attempted"),
+            0,
+            "{query:?}: {stats:?}"
+        );
+        assert!(stat_u64(stats, "shared_hits") >= 1, "{query:?}: {stats:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
