@@ -569,6 +569,12 @@ pub fn report_lines(
 ) -> Result<Vec<ReportLine>, CliError> {
     let (_name, mut analysis) = analyze(program_text, proc_name, config)?;
     portfolio.apply(&mut analysis);
+    Ok(lines_of(&analysis, config))
+}
+
+/// [`report_lines`] over an analysis already configured with `config`
+/// and the report's roster.
+fn lines_of(analysis: &Analysis, config: &ProverConfig) -> Vec<ReportLine> {
     let in_loop = analysis.snapshots().filter(|s| !s.loops.is_empty()).count();
     let sub = sub_config(config, in_loop);
     let mut lines = Vec::new();
@@ -584,10 +590,10 @@ pub fn report_lines(
                 stats: ProverStats::default(),
             });
         } else {
-            lines.push(carried_line(&analysis, &snap.label, &sub));
+            lines.push(carried_line(analysis, &snap.label, &sub));
         }
     }
-    Ok(lines)
+    lines
 }
 
 /// Renders the report for one procedure; returns whether any answer was
@@ -601,7 +607,7 @@ fn report_proc(
 ) -> Result<bool, CliError> {
     let (_name, mut analysis) = analyze(program_text, Some(name), config)?;
     portfolio.apply(&mut analysis);
-    let lines = report_lines(program_text, Some(name), config, portfolio)?;
+    let lines = lines_of(&analysis, config);
     let mut any_maybe = false;
     let _ = writeln!(out, "== parallelization report: procedure {name} ==");
     let _ = writeln!(

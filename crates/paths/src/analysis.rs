@@ -162,11 +162,156 @@ pub struct BatchReport {
 /// with equal keys prove under the same axiom set, so the key groups a
 /// batch onto engines and names the engines a run carries.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Suspended {
+pub(crate) enum Suspended {
     /// Every axiom is suspended (a call may have stored anything).
     All,
     /// The axioms mentioning any of these fields are suspended.
     Fields(Vec<Symbol>),
+}
+
+/// The declared `axioms` minus those `suspended` names.
+fn axioms_under(axioms: &AxiomSet, suspended: &Suspended) -> AxiomSet {
+    match suspended {
+        Suspended::All => AxiomSet::new(),
+        Suspended::Fields(dirty) if dirty.is_empty() => axioms.clone(),
+        Suspended::Fields(dirty) => axioms
+            .iter()
+            .filter(|a| {
+                let mut fields = a.lhs().symbols();
+                fields.extend(a.rhs().symbols());
+                fields.iter().all(|f| !dirty.contains(f))
+            })
+            .cloned()
+            .collect(),
+    }
+}
+
+/// One [`BatchQuery`] resolved against its procedure's analysis: the
+/// memory-reference pairs to test and what §3.4 suspends at its points.
+/// A plan depends on the program text alone, not on prover rules,
+/// budget or roster, so a plan one run made executes under another
+/// run's settings (see [`Executor`]).
+#[derive(Debug, Clone)]
+pub(crate) struct QueryPlan {
+    pairs: Vec<(MemRef, MemRef)>,
+    suspended: Suspended,
+}
+
+/// A planned query, or why it cannot be phrased.
+pub(crate) type Planned = Result<QueryPlan, QueryError>;
+
+/// What planned queries execute under: the program's axiom set (each
+/// engine proves under the part its queries' points leave valid), the
+/// prover rules and budget, the engine roster, and the sink the engine
+/// tallies go to.
+pub(crate) struct Executor<'a> {
+    pub(crate) axioms: &'a AxiomSet,
+    pub(crate) config: &'a ProverConfig,
+    pub(crate) portfolio: &'a PortfolioConfig,
+    pub(crate) tallies: &'a TallySink,
+}
+
+impl Executor<'_> {
+    /// Runs planned queries as engine batches on the engines of
+    /// `engines`, building the ones it lacks: the one grouping and engine
+    /// path behind [`Analysis::run_batch`] and
+    /// [`crate::ProgramAnalysis::run`].
+    ///
+    /// Queries whose points suspend the same axioms share one
+    /// [`DepEngine`] and therefore one proof/subset/DFA cache; each shared
+    /// engine fans its queries out over [`BatchOptions::jobs`] threads via
+    /// [`DepTest::test_batch`]. Per query, the first definite answer among
+    /// its pairs wins, otherwise the last `Maybe` is reported — the
+    /// selection [`Analysis::test_sequential`] makes. One result is
+    /// returned per plan, in order. The plans lend their pairs to the
+    /// batch; a plan gets them back when `keep` holds for its outcome and
+    /// is left without pairs otherwise.
+    pub(crate) fn execute(
+        &self,
+        plans: &mut [Planned],
+        options: &BatchOptions,
+        engines: &mut Engines,
+        keep: impl Fn(&TestOutcome) -> bool,
+    ) -> BatchReport {
+        struct Slot {
+            group: usize,
+            range: Range<usize>,
+        }
+        type Tasks = Vec<(MemRef, MemRef, HandleRelation)>;
+        let mut groups: Vec<(Suspended, Tasks)> = Vec::new();
+        let mut slots: Vec<Result<Slot, QueryError>> = Vec::with_capacity(plans.len());
+        for planned in plans.iter_mut() {
+            match planned {
+                Err(e) => slots.push(Err(e.clone())),
+                Ok(plan) => {
+                    // A procedure's points suspend few distinct field sets.
+                    let group = match groups.iter().position(|(s, _)| *s == plan.suspended) {
+                        Some(group) => group,
+                        None => {
+                            groups.push((plan.suspended.clone(), Vec::new()));
+                            groups.len() - 1
+                        }
+                    };
+                    let tasks = &mut groups[group].1;
+                    let start = tasks.len();
+                    tasks.extend(
+                        std::mem::take(&mut plan.pairs)
+                            .into_iter()
+                            .map(|(s, t)| (s, t, HandleRelation::Same)),
+                    );
+                    slots.push(Ok(Slot {
+                        group,
+                        range: start..tasks.len(),
+                    }));
+                }
+            }
+        }
+        let mut cache = CacheStats::default();
+        let outcomes: Vec<Vec<TestOutcome>> = groups
+            .iter()
+            .map(|(suspended, tasks)| {
+                let engine = engines.engine(self.config, suspended, || {
+                    axioms_under(self.axioms, suspended)
+                });
+                let before = engine.cache_stats();
+                let tester = DepTest::with_portfolio(
+                    Portfolio::new(engine, self.portfolio.clone()).with_tallies(self.tallies),
+                );
+                let outcomes = tester.test_batch(tasks, options.jobs);
+                cache.absorb(&tester.engine().cache_stats().since(&before));
+                outcomes
+            })
+            .collect();
+        // Per query, the first definite answer among its pairs wins,
+        // otherwise the last Maybe is reported.
+        let settled = |slot: &Slot| {
+            let outs = &outcomes[slot.group][slot.range.clone()];
+            outs.iter()
+                .find(|o| matches!(o.answer, Answer::No | Answer::Yes))
+                .or_else(|| outs.last())
+                .expect("a plan holds at least one pair")
+        };
+        // Each group's tasks are its plans' pairs in plan order.
+        let mut lent: Vec<_> = groups
+            .into_iter()
+            .map(|(_, tasks)| tasks.into_iter())
+            .collect();
+        for (planned, slot) in plans.iter_mut().zip(&slots) {
+            if let (Ok(plan), Ok(slot)) = (planned, slot) {
+                let pairs = lent[slot.group].by_ref().take(slot.range.len());
+                if keep(settled(slot)) {
+                    plan.pairs.extend(pairs.map(|(s, t, _)| (s, t)));
+                } else {
+                    pairs.for_each(drop);
+                }
+            }
+        }
+        let results = slots
+            .into_iter()
+            .map(|slot| Ok(settled(&slot?).clone()))
+            .collect();
+        BatchReport { results, cache }
+    }
 }
 
 /// The dependence engines a run proves on: one [`DepEngine`] per distinct
@@ -249,7 +394,7 @@ impl BatchReport {
 pub struct Analysis {
     snapshots: BTreeMap<String, Snapshot>,
     exit: Apm,
-    axioms: AxiomSet,
+    axioms: Arc<AxiomSet>,
     /// Every field some axiom mentions (sorted), computed on the first
     /// query that finds a suspect field.
     axiom_fields: OnceLock<Vec<Symbol>>,
@@ -273,6 +418,16 @@ pub struct Analysis {
 ///
 /// Returns `Err` if the procedure does not exist.
 pub fn analyze_proc(program: &Program, proc_name: &str) -> Result<Analysis, QueryError> {
+    analyze_proc_under(program, proc_name, Arc::new(program.all_axioms()))
+}
+
+/// [`analyze_proc`] with the program's axiom set already collected, so
+/// the analyses of one program share it.
+pub(crate) fn analyze_proc_under(
+    program: &Program,
+    proc_name: &str,
+    axioms: Arc<AxiomSet>,
+) -> Result<Analysis, QueryError> {
     let proc = program
         .proc(proc_name)
         .ok_or_else(|| QueryError::NoSuchLabel(proc_name.to_owned()))?;
@@ -298,7 +453,7 @@ pub fn analyze_proc(program: &Program, proc_name: &str) -> Result<Analysis, Quer
     Ok(Analysis {
         snapshots,
         exit: apm,
-        axioms: program.all_axioms(),
+        axioms,
         axiom_fields: OnceLock::new(),
         config: ProverConfig::default(),
         portfolio: PortfolioConfig::axiomatic_only(),
@@ -720,7 +875,7 @@ impl Analysis {
     /// are suspect at either point (§3.4's intersection of the axiom sets
     /// valid before and after a modification).
     pub fn valid_axioms(&self, snaps: &[&Snapshot]) -> AxiomSet {
-        self.axioms_under(&self.suspended(snaps))
+        axioms_under(&self.axioms, &self.suspended(snaps))
     }
 
     /// What §3.4 suspends at the given snapshots, as a key: suspect fields
@@ -744,24 +899,6 @@ impl Analysis {
         }
         fields.sort_unstable();
         Suspended::Fields(fields)
-    }
-
-    /// The declared axioms minus those `suspended` names.
-    fn axioms_under(&self, suspended: &Suspended) -> AxiomSet {
-        match suspended {
-            Suspended::All => AxiomSet::new(),
-            Suspended::Fields(dirty) if dirty.is_empty() => self.axioms.clone(),
-            Suspended::Fields(dirty) => self
-                .axioms
-                .iter()
-                .filter(|a| {
-                    let mut fields = a.lhs().symbols();
-                    fields.extend(a.rhs().symbols());
-                    fields.iter().all(|f| !dirty.contains(f))
-                })
-                .cloned()
-                .collect(),
-        }
     }
 
     /// Builds the memory-reference pairs for a sequential dependence query
@@ -909,23 +1046,21 @@ impl Analysis {
 
     /// Resolves one [`BatchQuery`] to its memory-reference pairs and what
     /// §3.4 suspends at the points it touches.
-    fn plan_query(
-        &self,
-        query: &BatchQuery,
-    ) -> Result<(Vec<(MemRef, MemRef)>, Suspended), QueryError> {
-        match query {
+    pub(crate) fn plan_query(&self, query: &BatchQuery) -> Planned {
+        let (pairs, suspended) = match query {
             BatchQuery::Sequential { from, to } => {
                 let pairs = self.sequential_pairs(from, to)?;
                 let s = self.snapshot(from).expect("checked above");
                 let t = self.snapshot(to).expect("checked above");
-                Ok((pairs, self.suspended(&[s, t])))
+                (pairs, self.suspended(&[s, t]))
             }
             BatchQuery::LoopCarried { label, loop_label } => {
                 let pair = self.loop_carried_pair(label, loop_label.as_deref())?;
                 let snap = self.snapshot(label).expect("checked above");
-                Ok((vec![pair], self.suspended(&[snap])))
+                (vec![pair], self.suspended(&[snap]))
             }
-        }
+        };
+        Ok(QueryPlan { pairs, suspended })
     }
 
     /// Runs many dependence queries as engine batches and reports the
@@ -943,80 +1078,14 @@ impl Analysis {
     /// One outcome (or [`QueryError`]) is returned per input query, in
     /// order, in [`BatchReport::results`].
     pub fn run_batch(&self, queries: &[BatchQuery], options: &BatchOptions) -> BatchReport {
-        self.run_batch_on(queries, options, &mut Engines::default())
-    }
-
-    /// [`Analysis::run_batch`] on the engines of `engines`, building the
-    /// ones it lacks: the one grouping and engine path behind both that
-    /// and [`crate::ProgramAnalysis::run`]. Each query runs under this
-    /// analysis's budget and roster, whichever run built its engine.
-    pub(crate) fn run_batch_on(
-        &self,
-        queries: &[BatchQuery],
-        options: &BatchOptions,
-        engines: &mut Engines,
-    ) -> BatchReport {
-        struct Slot {
-            group: usize,
-            range: Range<usize>,
-        }
-        type Tasks = Vec<(MemRef, MemRef, HandleRelation)>;
-        let mut groups: Vec<(Suspended, Tasks)> = Vec::new();
-        let mut slots: Vec<Result<Slot, QueryError>> = Vec::with_capacity(queries.len());
-        for query in queries {
-            match self.plan_query(query) {
-                Err(e) => slots.push(Err(e)),
-                Ok((pairs, suspended)) => {
-                    // A procedure's points suspend few distinct field sets.
-                    let group = match groups.iter().position(|(s, _)| *s == suspended) {
-                        Some(group) => group,
-                        None => {
-                            groups.push((suspended, Vec::new()));
-                            groups.len() - 1
-                        }
-                    };
-                    let tasks = &mut groups[group].1;
-                    let start = tasks.len();
-                    tasks.extend(pairs.into_iter().map(|(s, t)| (s, t, HandleRelation::Same)));
-                    slots.push(Ok(Slot {
-                        group,
-                        range: start..tasks.len(),
-                    }));
-                }
-            }
-        }
-        let mut cache = CacheStats::default();
-        let outcomes: Vec<Vec<TestOutcome>> = groups
-            .iter()
-            .map(|(suspended, tasks)| {
-                let engine =
-                    engines.engine(&self.config, suspended, || self.axioms_under(suspended));
-                let before = engine.cache_stats();
-                let tester = DepTest::with_portfolio(
-                    Portfolio::new(engine, self.portfolio.clone()).with_tallies(&self.tallies),
-                );
-                let outcomes = tester.test_batch(tasks, options.jobs);
-                cache.absorb(&tester.engine().cache_stats().since(&before));
-                outcomes
-            })
-            .collect();
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                let Slot { group, range } = slot?;
-                let outs = &outcomes[group][range];
-                // Mirror test_sequential: first definite answer wins,
-                // otherwise the last Maybe is reported.
-                let settled = outs
-                    .iter()
-                    .find(|o| matches!(o.answer, Answer::No | Answer::Yes));
-                Ok(settled
-                    .or_else(|| outs.last())
-                    .expect("plan_query yields at least one pair")
-                    .clone())
-            })
-            .collect();
-        BatchReport { results, cache }
+        let mut plans: Vec<Planned> = queries.iter().map(|q| self.plan_query(q)).collect();
+        let executor = Executor {
+            axioms: &self.axioms,
+            config: &self.config,
+            portfolio: &self.portfolio,
+            tallies: &self.tallies,
+        };
+        executor.execute(&mut plans, options, &mut Engines::default(), |_| false)
     }
 
     /// The full query workload for this procedure, mirroring `apt report`:

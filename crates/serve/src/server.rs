@@ -946,7 +946,7 @@ fn dispatch_inline(
                     None => (0, 0),
                 },
                 None => match tables.remove(&name) {
-                    Some(table) => (table.procs.len(), table.total_verdicts()),
+                    Some(table) => (table.procs().len(), table.total_verdicts()),
                     None => (0, 0),
                 },
             };

@@ -384,8 +384,8 @@ fn encode_section_payload(section: &SessionSection) -> Vec<u8> {
 
 fn encode_analyze_payload(table: &DepTable) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u32(&mut out, table.procs.len() as u32);
-    for entry in &table.procs {
+    put_u32(&mut out, table.procs().len() as u32);
+    for entry in table.procs() {
         put_str(&mut out, &entry.proc_name);
         put_u64(&mut out, entry.body_hash);
         put_u64(&mut out, entry.axioms_hash);
@@ -950,7 +950,7 @@ pub fn inspect(bytes: &[u8]) -> Result<String, SnapshotError> {
                     out,
                     "  section {i} [analyze:{}]: ok — {} procedure(s), {} verdict(s)",
                     a.name,
-                    a.table.procs.len(),
+                    a.table.procs().len(),
                     a.table.total_verdicts()
                 );
             }
@@ -1127,8 +1127,8 @@ mod tests {
         };
         let original = sample_analyze_section();
         assert_eq!(restored.name, original.name);
-        assert_eq!(restored.table.procs.len(), 1);
-        let (got, want) = (&restored.table.procs[0], &original.table.procs[0]);
+        assert_eq!(restored.table.procs().len(), 1);
+        let (got, want) = (&restored.table.procs()[0], &original.table.procs()[0]);
         assert_eq!(got.proc_name, want.proc_name);
         assert_eq!(got.body_hash, want.body_hash);
         assert_eq!(got.axioms_hash, want.axioms_hash);

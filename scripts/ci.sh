@@ -463,6 +463,22 @@ if ! grep -q '"procs_reused":2' <<<"$served_out"; then
     echo "$served_out" >&2
     exit 1
 fi
+# Undo the edit through the same daemon-held table: the untouched
+# procedure replays from the trusted table on its carried plan, the
+# edited-back one is analyzed afresh, and the exit code matches a cold
+# run of the original file.
+undo_rc=0
+undo_out=$("$APT" client --socket "$SOCK" analyze examples/programs/twoproc.apt --name ci) \
+    || undo_rc=$?
+if [[ "$undo_rc" -ne "$cold0_rc" ]]; then
+    echo "error: served analyze of the original exit $undo_rc, cold exit $cold0_rc" >&2
+    exit 1
+fi
+if ! grep -q '"procs_reused":1' <<<"$undo_out"; then
+    echo "error: served analyze of the original did not replay exactly one procedure:" >&2
+    echo "$undo_out" >&2
+    exit 1
+fi
 "$APT" client --socket "$SOCK" shutdown >/dev/null
 wait "$SERVE_PID" || {
     echo "error: apt serve exited nonzero after analyze smoke" >&2

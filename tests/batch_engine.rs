@@ -2,10 +2,17 @@
 //! through a [`DepEngine`] is an optimization, never a semantics change.
 //! Any worker count must reproduce the sequential prover's verdicts
 //! exactly, and a warmed shared cache must not flip later batches.
+//!
+//! Batches below [`INLINE_BATCH_THRESHOLD`] unique queries run inline
+//! whatever the worker count, so one property draws batches past it to
+//! reach the worker fan-out.
 
-use apt_core::{Answer, DepEngine, DepQuery, MaybeReason, Origin, Prover, ProverConfig};
+use apt_core::{
+    Answer, DepEngine, DepQuery, MaybeReason, Origin, Prover, ProverConfig, INLINE_BATCH_THRESHOLD,
+};
 use apt_regex::Path;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// The verdict fingerprint compared across execution strategies.
 type Key = (Answer, Option<MaybeReason>, bool);
@@ -40,6 +47,26 @@ fn query_strategy() -> BoxedStrategy<DepQuery> {
             0 => DepQuery::disjoint(&a, &b).origin(Origin::Same),
             1 => DepQuery::disjoint(&a, &b).origin(Origin::Distinct),
             _ => DepQuery::equal(&a, &b),
+        })
+        .boxed()
+}
+
+/// Strategy: a batch of pairwise distinct queries, more of them than
+/// [`INLINE_BATCH_THRESHOLD`], so a multi-worker engine fans them out.
+fn wide_batch_strategy() -> BoxedStrategy<Vec<DepQuery>> {
+    let draws = INLINE_BATCH_THRESHOLD + 40..INLINE_BATCH_THRESHOLD + 80;
+    prop::collection::vec((path_strategy(), path_strategy(), 0..3u8), draws)
+        .prop_map(|triples| {
+            let mut seen = HashSet::new();
+            triples
+                .into_iter()
+                .filter(|t| seen.insert(t.clone()))
+                .map(|(a, b, kind)| match kind {
+                    0 => DepQuery::disjoint(&a, &b).origin(Origin::Same),
+                    1 => DepQuery::disjoint(&a, &b).origin(Origin::Distinct),
+                    _ => DepQuery::equal(&a, &b),
+                })
+                .collect()
         })
         .boxed()
 }
@@ -101,6 +128,31 @@ proptest! {
                 stats.proved_goals + stats.failed_goals + stats.subset_results > 0,
                 "shared cache unexpectedly empty: {:?}", stats
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Past the inline threshold the workers really run: one, two or
+    /// eight of them still reproduce the sequential prover, query for
+    /// query.
+    #[test]
+    fn worker_fan_out_matches_sequential_prover(queries in wide_batch_strategy()) {
+        // Every query is distinct (no dedup shrinks the batch), so the
+        // engine's unique count is the batch length.
+        prop_assert!(
+            queries.len() > INLINE_BATCH_THRESHOLD,
+            "{} unique queries do not reach the fan-out",
+            queries.len()
+        );
+        let expected = sequential_verdicts(&queries);
+        for jobs in [1, 2, 8] {
+            let engine = DepEngine::new(apt_axioms::adds::leaf_linked_tree_axioms());
+            let outcomes = engine.run_batch(&queries, jobs);
+            let got: Vec<Key> = outcomes.iter().map(fingerprint).collect();
+            prop_assert_eq!(&got, &expected, "jobs={}", jobs);
         }
     }
 }

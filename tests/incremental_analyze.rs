@@ -9,7 +9,9 @@
 //! 2. **Locality** — the edited procedure re-proves everything; an
 //!    untouched procedure re-proves only what the table can never
 //!    cover (Maybe verdicts, which are not persisted, and proof-less
-//!    Nos, which are never replayed).
+//!    Nos, which are never replayed), is not audited (the table came
+//!    from this process) and is not analyzed again (the table carries
+//!    its plan).
 //! 3. **Corruption safety** — a table that went through the snapshot
 //!    codec and was bit-flipped or truncated either fails to decode
 //!    (run falls back cold) or decodes to entries that are re-validated
@@ -26,7 +28,7 @@ use apt::core::{Budget, CacheStats, CancelToken, ProverConfig};
 use apt::prelude::{analyze_program, parse_program, Answer, BatchOptions, RowOutcome};
 use apt::serve::snapshot;
 use apt::serve::{AnalyzeSection, SectionOutcome, Snapshot};
-use apt_paths::{fnv1a, DepTable, ProgramReport};
+use apt_paths::{fnv1a, DepTable, ProgramReport, REPLAY_PROOF_SAMPLE};
 
 /// Deterministic xorshift64* PRNG — no clock, no global state.
 struct Rng(u64);
@@ -163,13 +165,21 @@ fn random_edit_sequences_preserve_parity_and_locality() {
             );
 
             // (2) Locality: the edited procedure re-proves everything;
-            // untouched procedures re-prove only never-replayable rows.
+            // untouched procedures re-prove only never-replayable rows,
+            // with no audit and no analysis.
             for (i, proc) in incremental.procs.iter().enumerate() {
+                assert_eq!(proc.audited, 0, "seed {seed}: {} audited", proc.name);
                 if i == edited {
                     assert!(!proc.reused, "seed {seed}: edited proc replayed");
+                    assert!(proc.analyzed, "seed {seed}: edited proc not analyzed");
                     assert_eq!(proc.replayed, 0);
                     assert_eq!(proc.reproved, proc.rows.len());
                 } else {
+                    assert!(
+                        !proc.analyzed,
+                        "seed {seed}: untouched {} analyzed again",
+                        proc.name
+                    );
                     assert!(
                         proc.reused,
                         "seed {seed}: untouched {} re-proved",
@@ -244,6 +254,61 @@ fn corrupted_snapshot_tables_fall_back_cold_never_wrong() {
             want,
             "trial {trial}: corrupted table changed a verdict"
         );
+    }
+}
+
+#[test]
+fn a_restored_table_is_audited_on_first_use_only() {
+    let mut rng = Rng::new(0x5eed_0a0d);
+    let specs = random_specs(&mut rng);
+    let cold = run_specs(&specs, None);
+    let bytes = snapshot::encode(&Snapshot {
+        created_unix_ms: 1,
+        sections: Vec::new(),
+        analyses: vec![AnalyzeSection {
+            name: "default".into(),
+            table: cold.table.clone(),
+        }],
+    });
+    let (_, outcomes) = snapshot::decode(&bytes).expect("clean snapshot decodes");
+    let restored = outcomes
+        .into_iter()
+        .find_map(|o| match o {
+            SectionOutcome::Analysis(a) => Some(a.table),
+            _ => None,
+        })
+        .expect("analyze section restored");
+
+    // First use: every hash-matched entry is audited, a sample of its
+    // proofs plus each witness, and its procedure analyzed (a restored
+    // table carries no plans).
+    let first = run_specs(&specs, Some(&restored));
+    assert_eq!(answers(&first), answers(&cold));
+    for (proc, entry) in first.procs.iter().zip(restored.procs()) {
+        let proofs: usize = entry.verdicts.iter().map(|v| v.proofs.len()).sum();
+        let witnesses = entry
+            .verdicts
+            .iter()
+            .filter(|v| v.witness.is_some())
+            .count();
+        assert!(proc.reused, "{}", proc.name);
+        assert!(proc.analyzed, "{}", proc.name);
+        assert_eq!(
+            proc.audited,
+            proofs.min(REPLAY_PROOF_SAMPLE) + witnesses,
+            "{}",
+            proc.name
+        );
+    }
+    assert!(first.procs.iter().any(|p| p.audited > 0));
+
+    // The table that run returned is trusted: no audit, no analysis.
+    let second = run_specs(&specs, Some(&first.table));
+    assert_eq!(answers(&second), answers(&cold));
+    for proc in &second.procs {
+        assert!(proc.reused, "{}", proc.name);
+        assert_eq!(proc.audited, 0, "{}", proc.name);
+        assert!(!proc.analyzed, "{}", proc.name);
     }
 }
 
@@ -381,7 +446,7 @@ fn snapshot_bytes_and_proof_text_match_the_committed_fixtures() {
         let report = run_text(&text, ProverConfig::default(), None);
         let proofs: String = report
             .table
-            .procs
+            .procs()
             .iter()
             .flat_map(|e| &e.verdicts)
             .flat_map(|v| &v.proofs)
