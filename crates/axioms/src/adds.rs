@@ -248,33 +248,34 @@ pub fn parse_adds(text: &str) -> Result<AxiomSet, ParseAddsError> {
             Some((k, r)) => (k, r.trim()),
             None => return Err(err(format!("malformed declaration {decl:?}"))),
         };
-        let fields = |s: &str| -> Vec<String> {
+        let fields = |s: &str| -> Result<Vec<Symbol>, ParseAddsError> {
             s.split(',')
-                .map(|f| f.trim().to_owned())
+                .map(str::trim)
                 .filter(|f| !f.is_empty())
+                .map(|f| Symbol::try_intern(f).map_err(|e| err(e.to_string())))
                 .collect()
         };
         match keyword {
             "tree" => {
-                let fs = fields(rest);
+                let fs = fields(rest)?;
                 if fs.len() < 2 {
                     return Err(err("tree needs at least two fields".into()));
                 }
-                spec = spec.tree(fs.iter().map(String::as_str));
+                spec = spec.tree(fs);
             }
             "list" => {
-                let fs = fields(rest);
+                let fs = fields(rest)?;
                 if fs.len() != 1 {
                     return Err(err("list takes exactly one field".into()));
                 }
-                spec = spec.list(fs[0].as_str());
+                spec = spec.list(fs[0]);
             }
             "acyclic" => {
-                let fs = fields(rest);
+                let fs = fields(rest)?;
                 if fs.is_empty() {
                     return Err(err("acyclic needs at least one field".into()));
                 }
-                spec = spec.acyclic(fs.iter().map(String::as_str));
+                spec = spec.acyclic(fs);
             }
             "disjoint" => {
                 let (across, body) = match rest.strip_prefix("across") {
@@ -523,6 +524,27 @@ mod tests {
         assert!(e.message.contains("two fields"));
         let e = parse_adds("disjoint a..b, c;").unwrap_err();
         assert!(e.message.contains("parse error"));
+    }
+
+    #[test]
+    fn over_long_field_names_are_parse_errors() {
+        let long = "f".repeat(apt_regex::MAX_FIELD_NAME + 1);
+        let limit = format!(
+            "field name of {} bytes exceeds the {}-byte limit",
+            long.len(),
+            apt_regex::MAX_FIELD_NAME
+        );
+        for decl in [
+            format!("tree L, {long};"),
+            format!("list {long};"),
+            format!("acyclic {long};"),
+            format!("disjoint L, {long}.R;"),
+            format!("cycle {long} = eps;"),
+        ] {
+            let e = parse_adds(&format!("list N;\n{decl}")).unwrap_err();
+            assert_eq!(e.line, 2, "{decl}");
+            assert!(e.message.contains(&limit), "{}", e.message);
+        }
     }
 
     #[test]

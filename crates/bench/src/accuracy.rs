@@ -300,6 +300,21 @@ mod tests {
     }
 
     #[test]
+    fn suite_paths_parse_as_the_regex_route_does() {
+        for case in suite() {
+            for text in [case.a, case.b] {
+                let re = apt_regex::parse(text).expect("the suite's paths parse");
+                assert_eq!(
+                    Path::parse(text),
+                    Ok(Path::try_from(&re).expect("a path")),
+                    "{}: {text}",
+                    case.name
+                );
+            }
+        }
+    }
+
+    #[test]
     fn no_tester_is_unsound_on_the_suite() {
         for col in run() {
             assert_eq!(

@@ -97,6 +97,13 @@ impl Budget {
         }
     }
 
+    /// Whether a query run under this budget stops before it reads any
+    /// cache: its token is already cancelled, or its deadline is zero.
+    pub(crate) fn is_spent(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+            || self.deadline == Some(Duration::ZERO)
+    }
+
     /// Sets the goal-attempt fuel.
     #[must_use]
     pub fn with_fuel(mut self, fuel: u64) -> Budget {

@@ -174,17 +174,6 @@ impl SharedCache {
         guard.get(goal).cloned()
     }
 
-    /// Whether `goal` is settled here as proved (`Some(true)`) or as
-    /// cleanly failed (`Some(false)`): [`SharedCache::lookup_goal`]
-    /// without cloning the proof.
-    pub(crate) fn peek_goal(&self, goal: &Goal) -> Option<bool> {
-        let shard = &self.goals[shard_index(goal, GOAL_SHARDS)];
-        let guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        guard
-            .get(goal)
-            .map(|verdict| matches!(verdict, SharedVerdict::Proved(_)))
-    }
-
     pub(crate) fn publish_goal(&self, goal: &Goal, verdict: SharedVerdict) {
         let shard = &self.goals[shard_index(goal, GOAL_SHARDS)];
         let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
@@ -776,10 +765,49 @@ impl DepEngine {
         (in_scope, prover)
     }
 
-    /// Runs one query on a fresh prover backed by the shared cache.
+    /// Runs one query on a fresh prover backed by the shared cache. A
+    /// query whose root goal the shared cache already settles is answered
+    /// from that entry alone ([`DepEngine::settled_outcome`]), with no
+    /// prover built and no arena scope entered.
     pub fn run(&self, query: &DepQuery) -> Outcome {
+        if let Some(outcome) = self.settled_outcome(query) {
+            return outcome;
+        }
         let (_in_scope, mut prover) = self.make_prover(1);
         query.run_with(&mut prover)
+    }
+
+    /// The outcome a prover run gives `query` when the shared cache settles
+    /// its canonical root goal. The run's first cache read finds the root,
+    /// so the outcome is that entry alone: `No` with the cached proof, or a
+    /// clean `Maybe` for a cached failure, counting one shared cache hit
+    /// and no goal attempted. `None` where a run would do more: an
+    /// equality query (which never reads the goal cache), a budget already
+    /// spent (which stops the run before the read), or a root the cache
+    /// has not settled. Builds one goal and takes one shard lock.
+    pub(crate) fn settled_outcome(&self, query: &DepQuery) -> Option<Outcome> {
+        let budget = query.budget_override().unwrap_or(&self.config.budget);
+        if query.kind != QueryKind::Disjoint || budget.is_spent() {
+            return None;
+        }
+        let root = Goal::new(query.origin, query.a.clone(), query.b.clone());
+        let (verdict, proof) = match self.cache.lookup_goal(&root)? {
+            SharedVerdict::Proved(p) => {
+                (Verdict::definite(Answer::No), Some(Arc::unwrap_or_clone(p)))
+            }
+            SharedVerdict::Failed => (Verdict::maybe(MaybeReason::GenuinelyUnknown), None),
+        };
+        Some(Outcome {
+            verdict,
+            proof,
+            stats: ProverStats {
+                cache_hits: 1,
+                shared_hits: 1,
+                ..ProverStats::default()
+            },
+            engine: EngineKind::Axiomatic,
+            witness: None,
+        })
     }
 
     /// Runs a batch of queries over `jobs` worker threads.
@@ -905,6 +933,7 @@ pub(crate) fn run_deduped<W>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CancelToken;
     use apt_axioms::adds;
     use std::time::Duration;
 
@@ -1054,6 +1083,68 @@ mod tests {
                 assert!(Arc::ptr_eq(mine, theirs));
             }
             assert_eq!(proof.to_string(), cached.to_string());
+        }
+    }
+
+    #[test]
+    fn a_settled_root_answers_exactly_as_a_prover_run() {
+        let engine = DepEngine::new(adds::leaf_linked_tree_axioms());
+        let proved = DepQuery::disjoint(&p("L.L.N"), &p("L.R.N"));
+        // Identical paths: the prover fails cleanly and caches the failure.
+        let failed = DepQuery::disjoint(&p("L.L.N"), &p("L.L.N"));
+        for q in [&proved, &failed] {
+            assert!(
+                engine.settled_outcome(q).is_none(),
+                "a cold cache settles nothing"
+            );
+            let _ = engine.run(q);
+        }
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let cases = [
+            ("proved root", proved.clone(), true),
+            (
+                "mirrored proved root",
+                DepQuery::disjoint(&p("L.R.N"), &p("L.L.N")),
+                true,
+            ),
+            ("cleanly failed root", failed.clone(), true),
+            (
+                "spent budget",
+                proved
+                    .clone()
+                    .with_budget(Budget::new().with_deadline(Duration::ZERO)),
+                false,
+            ),
+            (
+                "cancelled token",
+                failed.with_budget(Budget::new().with_cancel(cancelled)),
+                false,
+            ),
+            (
+                "equality query",
+                DepQuery::equal(&p("L.L.N"), &p("L.L.N")),
+                false,
+            ),
+        ];
+        for (what, query, settles) in cases {
+            let prover_run = {
+                let (_in_scope, mut prover) = engine.make_prover(1);
+                query.run_with(&mut prover)
+            };
+            let shortcut = engine.settled_outcome(&query);
+            assert_eq!(shortcut.is_some(), settles, "{what}");
+            for outcome in shortcut.iter().chain([&engine.run(&query)]) {
+                assert_eq!(outcome.verdict, prover_run.verdict, "{what}");
+                assert_eq!(
+                    outcome.proof.as_ref().map(Proof::to_string),
+                    prover_run.proof.as_ref().map(Proof::to_string),
+                    "{what}"
+                );
+                assert_eq!(outcome.stats, prover_run.stats, "{what}");
+                assert_eq!(outcome.engine, prover_run.engine, "{what}");
+                assert!(outcome.witness.is_none() && prover_run.witness.is_none());
+            }
         }
     }
 

@@ -28,10 +28,10 @@
 //! plus path re-execution. The two certificates exclude each other, so
 //! definite verdicts can never disagree unless an engine is unsound.
 
-use crate::config::{Budget, CancelToken, ProverStats};
+use crate::config::{Budget, ProverStats};
 use crate::deptest::Answer;
 use crate::engine::{run_deduped, DepEngine, DepQuery, Outcome, QueryKind};
-use crate::goal::{Goal, Origin};
+use crate::goal::Origin;
 use crate::refuter::{self, RefuterConfig, RefuterOutcome};
 use crate::verdict::{MaybeReason, SearchLimit, Verdict};
 use apt_axioms::check::check_set;
@@ -41,7 +41,7 @@ use apt_regex::{Path, Symbol};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which backend produced an [`Outcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -572,34 +572,26 @@ impl Portfolio {
         }
     }
 
-    /// Whether [`Portfolio::run`] would answer `query` by reading the
-    /// engine's shared proof cache alone: a disjointness query on the
-    /// axiomatic prover whose canonical root goal is cached as proved, or
-    /// as cleanly failed with no refuter stage to follow. A budget that is
-    /// already spent (cancelled, or a zero deadline) stops the run before
-    /// it reads the cache, so such a query is not settled. Takes one shard
-    /// lock and clones no proof; shared entries are never removed, so the
-    /// answer cannot go stale before the run.
-    pub fn settled(&self, query: &DepQuery) -> bool {
+    /// Runs `query` when the engine's shared proof cache settles it alone,
+    /// giving the outcome and tally [`Portfolio::run`] would: a
+    /// disjointness query on the axiomatic prover whose canonical root goal
+    /// is cached as proved, or as cleanly failed with no refuter stage to
+    /// follow. `None`, with nothing tallied, for every other query,
+    /// including one whose budget is already spent (cancelled, or a zero
+    /// deadline), since such a run stops before it reads the cache. Builds
+    /// one goal and takes one shard lock; shared entries are never removed,
+    /// so a query settled once stays settled.
+    pub fn run_settled(&self, query: &DepQuery) -> Option<Outcome> {
         let roster = self.roster(query.kind());
-        let budget = self.budget(query);
-        let cancelled = budget
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled);
-        let spent = cancelled || budget.deadline == Some(Duration::ZERO);
-        if query.kind() != QueryKind::Disjoint || !roster.axiomatic || spent {
-            return false;
+        if !roster.axiomatic {
+            return None;
         }
-        let root = Goal::new(
-            query.origin_relation(),
-            query.a().clone(),
-            query.b().clone(),
-        );
-        match self.engine.shared_cache().peek_goal(&root) {
-            Some(proved) => proved || !roster.refuter,
-            None => false,
+        let outcome = self.engine.settled_outcome(query)?;
+        if !outcome.is_definite() && roster.refuter {
+            return None;
         }
+        self.record(EngineKind::Axiomatic, &outcome);
+        Some(outcome)
     }
 
     /// The budget `query` runs under: its override, else the engine's.
@@ -771,7 +763,9 @@ impl fmt::Debug for Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CancelToken;
     use apt_axioms::adds::leaf_linked_tree_axioms;
+    use std::time::Duration;
 
     fn p(s: &str) -> Path {
         Path::parse(s).unwrap()
@@ -1191,13 +1185,16 @@ mod tests {
         // is the same goal.
         let mirrored = DepQuery::disjoint(&p("L.R.N"), &p("L.L.N"));
         let failed = DepQuery::disjoint(&p("L.L.N"), &p("L.L.N"));
-        assert!(!solo.settled(&proved), "a cold engine settles nothing");
+        assert!(
+            solo.run_settled(&proved).is_none(),
+            "a cold engine settles nothing"
+        );
         let cold = solo.run(&proved);
         assert_eq!(cold.verdict.answer, Answer::No);
         assert!(cold.stats.goals_attempted > 0);
-        assert!(solo.settled(&proved) && solo.settled(&mirrored));
+        let settled = solo.run_settled(&mirrored).expect("the mirror is settled");
         assert!(
-            all.settled(&proved),
+            all.run_settled(&proved).is_some(),
             "a proved root never reaches the refuter"
         );
         let warm = solo.run(&mirrored);
@@ -1208,29 +1205,48 @@ mod tests {
             "{:?}",
             warm.stats
         );
+        assert_eq!(settled.verdict, warm.verdict);
+        assert_eq!(settled.stats, warm.stats);
+        assert_eq!(
+            settled.proof.map(|p| p.to_string()),
+            warm.proof.map(|p| p.to_string())
+        );
 
         // A clean failure settles the prover alone; the refuter would
         // still follow it.
         let maybe = solo.run(&failed);
         assert_eq!(maybe.verdict, Verdict::maybe(MaybeReason::GenuinelyUnknown));
-        assert!(solo.settled(&failed));
-        assert!(!all.settled(&failed));
+        assert!(solo.run_settled(&failed).is_some());
+        assert!(all.run_settled(&failed).is_none());
         let again = solo.run(&failed);
         assert_eq!(again.verdict, maybe.verdict);
         assert_eq!(again.stats.goals_attempted, 0, "{:?}", again.stats);
 
         // Equality queries never read the goal cache, and a spent budget
         // stops the run before it does.
-        assert!(!solo.settled(&DepQuery::equal(&p("L"), &p("L"))));
+        assert!(solo
+            .run_settled(&DepQuery::equal(&p("L"), &p("L")))
+            .is_none());
         let token = CancelToken::new();
         token.cancel();
         for spent in [
             Budget::new().with_cancel(token),
             Budget::new().with_deadline(Duration::ZERO),
         ] {
-            assert!(!solo.settled(&proved.clone().with_budget(spent)));
+            assert!(solo
+                .run_settled(&proved.clone().with_budget(spent))
+                .is_none());
         }
-        assert!(solo.settled(&proved.with_budget(Budget::new().with_fuel(0))));
+        assert!(solo
+            .run_settled(&proved.with_budget(Budget::new().with_fuel(0)))
+            .is_some());
+
+        // A settled run is tallied as `run` tallies it; a declined one
+        // not at all.
+        let tally = |p: &Portfolio| (p.stats().axiomatic.wins, p.stats().axiomatic.losses);
+        assert_eq!(tally(&solo), (4, 3));
+        assert_eq!(tally(&all), (1, 0));
+        assert_eq!(all.stats().refuter, EngineTally::default());
     }
 
     #[test]

@@ -304,18 +304,17 @@ impl Parser {
                 Some(Tok::RBrace) => break,
                 Some(Tok::Ident(kw)) if kw == "ptr" => {
                     let fname = self.expect_ident("field name")?;
+                    let name = self.field(&fname)?;
                     self.expect(&Tok::Colon, "':'")?;
                     let target = self.expect_ident("target type")?;
                     self.expect(&Tok::Semi, "';'")?;
-                    decl.pointers.push(PointerField {
-                        name: Symbol::intern(&fname),
-                        target,
-                    });
+                    decl.pointers.push(PointerField { name, target });
                 }
                 Some(Tok::Ident(kw)) if kw == "data" => {
                     let fname = self.expect_ident("field name")?;
+                    let field = self.field(&fname)?;
                     self.expect(&Tok::Semi, "';'")?;
-                    decl.scalars.push(Symbol::intern(&fname));
+                    decl.scalars.push(field);
                 }
                 Some(Tok::AxiomText(text)) => axiom_lines.push(text),
                 other => {
@@ -479,6 +478,11 @@ impl Parser {
         Ok(())
     }
 
+    /// Interns a field name, refusing one past the symbol table's cap.
+    fn field(&self, name: &str) -> Result<Symbol, ParseProgramError> {
+        Symbol::try_intern(name).map_err(|e| self.err(e.to_string()))
+    }
+
     fn lookup_type(&self, name: &str) -> Option<&StructDecl> {
         self.types.iter().find(|t| t.name == name)
     }
@@ -487,7 +491,7 @@ impl Parser {
         let decl = self
             .lookup_type(ty)
             .ok_or_else(|| self.err(format!("unknown type {ty:?}")))?;
-        let sym = Symbol::intern(field);
+        let sym = self.field(field)?;
         if decl.is_pointer_field(sym) {
             Ok(true)
         } else if decl.is_scalar_field(sym) {
@@ -941,6 +945,31 @@ mod tests {
     fn reports_line_numbers() {
         let err = parse_program("type T {\n  bogus;\n}").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn over_long_field_names_are_parse_errors() {
+        let long = "f".repeat(apt_regex::MAX_FIELD_NAME + 1);
+        let limit = format!(
+            "field name of {} bytes exceeds the {}-byte limit",
+            long.len(),
+            apt_regex::MAX_FIELD_NAME
+        );
+        for (src, line) in [
+            (format!("type T {{\n  ptr {long}: T;\n}}"), 2),
+            (format!("type T {{\n  data {long};\n}}"), 2),
+            (
+                format!("{TREE_TYPE}\nproc f(root: LLBinaryTree) {{\n  p = root->{long};\n}}"),
+                14,
+            ),
+        ] {
+            let err = parse_program(&src).unwrap_err();
+            assert_eq!(err.line, line, "{}", err.message);
+            assert!(err.message.contains(&limit), "{}", err.message);
+        }
+        let axiom = format!("type T {{\n  ptr L: T;\n  axiom A1: forall p, p.L <> p.{long};\n}}");
+        let err = parse_program(&axiom).unwrap_err();
+        assert!(err.message.contains(&limit), "{}", err.message);
     }
 
     #[test]

@@ -71,4 +71,4 @@ pub use intern::{arena_stats, ArenaScope, ArenaStats, EnteredScope, RegexId};
 pub use limits::{LimitExceeded, Limits};
 pub use parse::{parse, ParseRegexError};
 pub use path::{Component, Path};
-pub use symbol::Symbol;
+pub use symbol::{FieldNameTooLong, Symbol, SymbolStats, MAX_FIELD_NAME};

@@ -198,8 +198,15 @@ impl Parser {
     }
 
     fn parse_atom(&mut self) -> Result<Regex, ParseRegexError> {
+        let at = self.here();
         match self.bump() {
-            Some(Token::Ident(name)) => Ok(Regex::field(Symbol::intern(&name))),
+            Some(Token::Ident(name)) => match Symbol::try_intern(&name) {
+                Ok(field) => Ok(Regex::field(field)),
+                Err(e) => Err(ParseRegexError {
+                    position: at,
+                    message: e.to_string(),
+                }),
+            },
             Some(Token::Eps) => Ok(Regex::epsilon()),
             Some(Token::Empty) => Ok(Regex::empty()),
             Some(Token::LParen) => {
@@ -327,6 +334,22 @@ mod tests {
     fn error_on_dangling_operator() {
         assert!(parse("L|").is_err());
         assert!(parse("*L").is_err());
+    }
+
+    #[test]
+    fn error_on_over_long_field_names() {
+        let long = "f".repeat(crate::MAX_FIELD_NAME + 1);
+        let e = parse(&format!("L.({long}|R)")).unwrap_err();
+        assert_eq!(e.position, 3);
+        assert_eq!(
+            e.message,
+            format!(
+                "field name of {} bytes exceeds the {}-byte limit",
+                long.len(),
+                crate::MAX_FIELD_NAME
+            )
+        );
+        assert!(parse(&long[1..]).is_ok(), "a name at the cap parses");
     }
 
     #[test]

@@ -169,17 +169,53 @@ impl Path {
 
     /// Parses the paper's concrete syntax into a path.
     ///
+    /// A plain dotted field sequence such as `L.L.N`, the common shape of
+    /// a query path, is read straight from the text: no token vector, no
+    /// [`Regex`] tree. Every other input goes through the regex parser
+    /// ([`crate::parse`]) and `Path::try_from`: `eps`, `empty`, `*`, `+`,
+    /// `|`, parentheses, whitespace, and every malformed or over-long
+    /// name. So both routes give the same `Path`, and every error comes
+    /// from the regex parser with its position and message.
+    ///
     /// # Errors
     ///
     /// Returns the underlying regex [`crate::ParseRegexError`] on malformed
     /// input, or if the expression denotes the empty language (∅ is not a
     /// path).
     pub fn parse(input: &str) -> Result<Path, crate::ParseRegexError> {
+        if let Some(path) = Path::parse_plain(input) {
+            return Ok(path);
+        }
         let re = crate::parse(input)?;
         Path::try_from(&re).map_err(|msg| crate::ParseRegexError {
             position: 0,
             message: msg,
         })
+    }
+
+    /// `input` as a path when it is a plain dotted field sequence (words
+    /// of `[A-Za-z_][A-Za-z0-9_]*` other than the keywords, joined by
+    /// single dots, nothing else), interned through
+    /// [`Symbol::try_intern`]; `None` sends the input to the regex parser.
+    fn parse_plain(input: &str) -> Option<Path> {
+        let plain = |word: &str| {
+            let bytes = word.as_bytes();
+            bytes
+                .first()
+                .is_some_and(|&b| b.is_ascii_alphabetic() || b == b'_')
+                && bytes
+                    .iter()
+                    .all(|&b| b.is_ascii_alphanumeric() || b == b'_')
+                && !matches!(word, "eps" | "epsilon" | "empty")
+        };
+        if !input.split('.').all(plain) {
+            return None;
+        }
+        let components = input
+            .split('.')
+            .map(|word| Symbol::try_intern(word).ok().map(Component::Field))
+            .collect::<Option<Vec<_>>>()?;
+        Some(Path { components })
     }
 
     /// The component sequence.

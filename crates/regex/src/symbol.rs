@@ -5,6 +5,12 @@
 //! Regular expressions and automata operate on symbols, which keeps DFA
 //! alphabets dense, and the interner is process-global so symbols can be
 //! displayed without threading a table through every API.
+//!
+//! Interned names are never freed. Text from outside the process (a wire
+//! frame, an axiom file, a program) therefore reaches the table only
+//! through [`Symbol::try_intern`], which refuses names longer than
+//! [`MAX_FIELD_NAME`] bytes: the regex, IR and ADDS parsers all intern
+//! through it and report a refusal as their own parse error.
 
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -24,9 +30,44 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
+/// The longest field name, in bytes, that [`Symbol::try_intern`] (and so
+/// every parser) accepts. Real field names are a few bytes long; the cap
+/// bounds what one hostile name can add to a table that is never freed.
+pub const MAX_FIELD_NAME: usize = 256;
+
+/// A name [`Symbol::try_intern`] refused: longer than [`MAX_FIELD_NAME`]
+/// bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldNameTooLong {
+    /// The refused name's length in bytes.
+    pub len: usize,
+}
+
+impl fmt::Display for FieldNameTooLong {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "field name of {} bytes exceeds the {MAX_FIELD_NAME}-byte limit",
+            self.len
+        )
+    }
+}
+
+impl std::error::Error for FieldNameTooLong {}
+
+/// How much the symbol table holds: names interned and their bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SymbolStats {
+    /// Distinct names interned.
+    pub symbols: usize,
+    /// Their total length in bytes.
+    pub bytes: usize,
+}
+
 struct Interner {
     names: Vec<&'static str>,
     lookup: std::collections::HashMap<&'static str, u32>,
+    bytes: usize,
 }
 
 fn interner() -> &'static Mutex<Interner> {
@@ -35,6 +76,7 @@ fn interner() -> &'static Mutex<Interner> {
         Mutex::new(Interner {
             names: Vec::new(),
             lookup: std::collections::HashMap::new(),
+            bytes: 0,
         })
     })
 }
@@ -58,7 +100,36 @@ impl Symbol {
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
         i.names.push(leaked);
         i.lookup.insert(leaked, id);
+        i.bytes += name.len();
         Symbol(id)
+    }
+
+    /// Interns `name` unless it is longer than [`MAX_FIELD_NAME`] bytes.
+    /// Parsers of outside text intern through here, so no input can add
+    /// more than the cap per name to the table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FieldNameTooLong`] for an over-long name; nothing is
+    /// interned then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is empty, as [`Symbol::intern`] does.
+    pub fn try_intern(name: &str) -> Result<Symbol, FieldNameTooLong> {
+        if name.len() > MAX_FIELD_NAME {
+            return Err(FieldNameTooLong { len: name.len() });
+        }
+        Ok(Symbol::intern(name))
+    }
+
+    /// What the process-wide table holds right now.
+    pub fn table_stats() -> SymbolStats {
+        let i = interner().lock().expect("interner poisoned");
+        SymbolStats {
+            symbols: i.names.len(),
+            bytes: i.bytes,
+        }
     }
 
     /// The interned name.
@@ -126,6 +197,25 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_name_panics() {
         let _ = Symbol::intern("");
+    }
+
+    #[test]
+    fn try_intern_refuses_names_past_the_cap_and_counts_the_rest() {
+        let longest = format!("cap_{}", "x".repeat(MAX_FIELD_NAME - 4));
+        let before = Symbol::table_stats();
+        assert_eq!(Symbol::try_intern(&longest), Ok(Symbol::intern(&longest)));
+        let after = Symbol::table_stats();
+        // Other tests intern concurrently, so the table only grows by at
+        // least this name.
+        assert!(after.symbols > before.symbols);
+        assert!(after.bytes >= before.bytes + MAX_FIELD_NAME);
+        let too_long = "g".repeat(MAX_FIELD_NAME + 1);
+        let e = Symbol::try_intern(&too_long).unwrap_err();
+        assert_eq!(e.len, MAX_FIELD_NAME + 1);
+        assert_eq!(
+            e.to_string(),
+            format!("field name of 257 bytes exceeds the {MAX_FIELD_NAME}-byte limit")
+        );
     }
 
     #[test]

@@ -106,6 +106,11 @@ pub struct Client {
     next_id: u64,
     retry: Option<RetryPolicy>,
     rng: u64,
+    /// The request line being sent, newline included; reused across
+    /// round trips.
+    line: Vec<u8>,
+    /// The reply line being read; reused across round trips.
+    reply: String,
 }
 
 /// A client-side failure: transport trouble, unparsable response, or a
@@ -193,6 +198,8 @@ impl Client {
             next_id: 0,
             retry: None,
             rng: jitter_seed(),
+            line: Vec::new(),
+            reply: String::new(),
         })
     }
 
@@ -241,7 +248,7 @@ impl Client {
         if let Json::Obj(pairs) = &mut frame {
             if !pairs.iter().any(|(k, _)| k == "id") {
                 self.next_id += 1;
-                pairs.push(("id".to_owned(), Json::Num(self.next_id as f64)));
+                pairs.push(("id".into(), Json::Num(self.next_id as f64)));
             }
         }
         let retryable = self.retry.is_some()
@@ -289,13 +296,13 @@ impl Client {
     pub fn roundtrip_raw(&mut self, line: &str) -> Result<Json, ClientError> {
         // One write per frame: the socket is unbuffered, and a separate
         // write for the newline would reach the daemon as a second piece.
-        let mut frame = String::with_capacity(line.len() + 1);
-        frame.push_str(line);
-        frame.push('\n');
-        self.writer.write_all(frame.as_bytes())?;
+        self.line.clear();
+        self.line.extend_from_slice(line.as_bytes());
+        self.line.push(b'\n');
+        self.writer.write_all(&self.line)?;
         self.writer.flush()?;
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
+        self.reply.clear();
+        let n = self.reader.read_line(&mut self.reply)?;
         if n == 0 {
             return Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -303,7 +310,7 @@ impl Client {
             )));
         }
         let frame =
-            parse(response.trim_end()).map_err(|e| ClientError::BadResponse(e.to_string()))?;
+            parse(self.reply.trim_end()).map_err(|e| ClientError::BadResponse(e.to_string()))?;
         if frame.get("ok").and_then(Json::as_bool) == Some(false) {
             let code = frame
                 .get("error")

@@ -7,11 +7,209 @@
 //! order, so protocol frames are stable across runs and easy to diff in
 //! tests). Only what the wire protocol needs is implemented — no
 //! streaming, no arbitrary-precision numbers.
+//!
+//! The daemon answers most requests from its caches, so encoding and
+//! decoding a frame is most of a request's cost, and the codec avoids
+//! work the frame does not need:
+//!
+//! * **Keys.** Object keys are `Cow<'static, str>`. Frames built with
+//!   [`obj`] name their keys with string literals, and the parser borrows
+//!   any key it finds in `KEYS`, the protocol's own keys, instead of
+//!   allocating it; a hash index built from that table at compile time
+//!   finds a key in one or two probes. Only a key outside the table is
+//!   owned.
+//! * **Writing.** Integers are written with a digit loop, and each run of
+//!   string bytes that needs no escape is copied in one step.
+//!   [`Json::write_line`] appends a frame straight to a byte buffer such
+//!   as a connection's output buffer, so a reply is encoded once, where it
+//!   is sent from.
+//!
+//! The bytes on the wire are the same as those of a writer built on
+//! `write!`: `json::tests` keeps such a reference writer and compares the
+//! two on generated values.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::io::Write as _;
 
 /// Maximum nesting depth the parser accepts.
 const MAX_DEPTH: usize = 64;
+
+/// Every object key the wire protocol uses, in requests and replies: a
+/// `prove` request's keys first, then a `prove` reply's, then the rest.
+/// The parser borrows these instead of allocating them; a key not listed
+/// here still parses, into an owned string.
+const KEYS: &[&str] = &[
+    "verb",
+    "id",
+    "session",
+    "a",
+    "b",
+    "kind",
+    "origin",
+    "proof",
+    "fuel",
+    "deadline_ms",
+    "max_dfa_states",
+    "engines",
+    "axioms",
+    "queries",
+    "jobs",
+    "program",
+    "proc",
+    "name",
+    "changed_only",
+    "ok",
+    "error",
+    "message",
+    "proto_version",
+    "result",
+    "answer",
+    "reason",
+    "degraded",
+    "engine",
+    "witness",
+    "stats",
+    "goals_attempted",
+    "cache_hits",
+    "shared_hits",
+    "subset_checks",
+    "dispatch_hits",
+    "dispatch_misses",
+    "neg_memo_hits",
+    "cutoffs",
+    "depth",
+    "rewrites",
+    "deadline",
+    "regex_budget",
+    "cancelled",
+    "dfas",
+    "uses",
+    "wins",
+    "cache",
+    "count",
+    "maybe",
+    "opens",
+    "procs",
+    "query",
+    "ready",
+    "table",
+    "verbs",
+    "closed",
+    "losses",
+    "memory",
+    "p50_us",
+    "p90_us",
+    "p99_us",
+    "reused",
+    "server",
+    "deduped",
+    "enabled",
+    "evicted",
+    "healthy",
+    "latency",
+    "mean_us",
+    "refuter",
+    "restore",
+    "results",
+    "symbols",
+    "workers",
+    "draining",
+    "min_dfas",
+    "replayed",
+    "reproved",
+    "sessions",
+    "snapshot",
+    "stopping",
+    "any_maybe",
+    "axiomatic",
+    "portfolio",
+    "uptime_ms",
+    "witnesses",
+    "request_us",
+    "arena_bytes",
+    "arena_nodes",
+    "peak_rss_kb",
+    "queue_depth",
+    "arena_scopes",
+    "errors_total",
+    "failed_goals",
+    "last_restore",
+    "procs_reused",
+    "proved_goals",
+    "symbol_bytes",
+    "write_errors",
+    "writes_total",
+    "dropped_procs",
+    "queries_total",
+    "queue_wait_us",
+    "read_timeouts",
+    "total_queries",
+    "requests_total",
+    "restored_bytes",
+    "restored_goals",
+    "subset_results",
+    "max_connections",
+    "restored_tables",
+    "snapshot_age_ms",
+    "analyze_replayed",
+    "analyze_reproved",
+    "corrupt_sections",
+    "dropped_verdicts",
+    "last_write_bytes",
+    "restored_subsets",
+    "arena_freed_total",
+    "connections_total",
+    "overload_refusals",
+    "restored_sessions",
+    "arena_pinned_nodes",
+    "connections_active",
+    "disconnect_cancels",
+    "connection_refusals",
+];
+
+/// Slots of [`KEY_INDEX`]: a power of two, at least twice [`KEYS`]'s length.
+const KEY_SLOTS: usize = 512;
+
+/// A cheap hash of a key's length and its first, middle and last bytes.
+/// Collisions cost a probe, never a wrong answer.
+const fn key_hash(key: &[u8]) -> usize {
+    let n = key.len();
+    let mix =
+        n as u64 | (key[0] as u64) << 8 | (key[n / 2] as u64) << 16 | (key[n - 1] as u64) << 24;
+    (mix.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 55) as usize % KEY_SLOTS
+}
+
+/// [`KEYS`] by [`key_hash`], built at compile time with linear probing:
+/// each slot holds a key's position in [`KEYS`] plus one, or 0 when empty.
+static KEY_INDEX: [u8; KEY_SLOTS] = {
+    assert!(KEYS.len() < 256 && 2 * KEYS.len() <= KEY_SLOTS);
+    let mut index = [0u8; KEY_SLOTS];
+    let mut i = 0;
+    while i < KEYS.len() {
+        let mut slot = key_hash(KEYS[i].as_bytes());
+        while index[slot] != 0 {
+            slot = (slot + 1) % KEY_SLOTS;
+        }
+        index[slot] = (i + 1) as u8;
+        i += 1;
+    }
+    index
+};
+
+/// The [`KEYS`] entry spelled by `key`, if there is one.
+fn protocol_key(key: &[u8]) -> Option<&'static str> {
+    if key.is_empty() {
+        return None;
+    }
+    let mut slot = key_hash(key);
+    loop {
+        let entry = KEYS.get(usize::from(KEY_INDEX[slot]).checked_sub(1)?)?;
+        if entry.as_bytes() == key {
+            return Some(entry);
+        }
+        slot = (slot + 1) % KEY_SLOTS;
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +225,7 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object; insertion-ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 impl Json {
@@ -89,39 +287,49 @@ impl Json {
     /// Renders the value as compact JSON text (one line, no trailing
     /// newline).
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write_into(&mut out);
-        out
+        // The writer copies whole strings and adds ASCII only, so the
+        // bytes are UTF-8; the lossy arm never runs.
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
-    fn write_into(&self, out: &mut String) {
+    /// Appends the value's compact JSON text and a newline to `out`: one
+    /// wire frame, encoded where it is sent from.
+    pub fn write_line(&self, out: &mut Vec<u8>) {
+        self.write_into(out);
+        out.push(b'\n');
+    }
+
+    fn write_into(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
             Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write_into(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_str(k, out);
-                    out.push(':');
+                    out.push(b':');
                     v.write_into(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -158,36 +366,88 @@ impl From<String> for Json {
 }
 
 /// Builds an object from key/value pairs (used by the protocol layer).
-pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+/// Keys are string literals, so building a frame allocates no key.
+pub fn obj(pairs: Vec<(&'static str, Json)>) -> Json {
+    Json::Obj(
+        pairs
+            .into_iter()
+            .map(|(k, v)| (Cow::Borrowed(k), v))
+            .collect(),
+    )
 }
 
-fn write_num(n: f64, out: &mut String) {
+fn write_num(n: f64, out: &mut Vec<u8>) {
     if !n.is_finite() {
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        let _ = write!(out, "{}", n as i64);
+        write_int(n as i64, out);
     } else {
+        // Writing to a `Vec` cannot fail.
         let _ = write!(out, "{n}");
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `n` in decimal, as `{}` formatting does.
+fn write_int(n: i64, out: &mut Vec<u8>) {
+    if n < 0 {
+        out.push(b'-');
+    }
+    let mut rest = n.unsigned_abs();
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Bytes a JSON string must escape: quotes, backslashes, control bytes.
+static ESCAPED: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = true;
+        b += 1;
+    }
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+};
+
+/// Writes `s` as a JSON string: quotes, backslashes and control bytes are
+/// escaped, and each run of bytes between them is copied in one step.
+/// Multi-byte characters never contain those bytes, so they copy as is.
+fn write_str(s: &str, out: &mut Vec<u8>) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut rest = s.as_bytes();
+    out.push(b'"');
+    while let Some(at) = rest.iter().position(|&b| ESCAPED[usize::from(b)]) {
+        out.extend_from_slice(&rest[..at]);
+        let b = rest[at];
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ]),
+        }
+        rest = &rest[at + 1..];
+    }
+    out.extend_from_slice(rest);
+    out.push(b'"');
 }
 
 /// A parse failure: byte offset plus message.
@@ -317,7 +577,7 @@ impl<'a> Parser<'a> {
             if self.peek() != Some(b'"') {
                 return Err(self.err("expected a string key"));
             }
-            let key = self.string()?;
+            let key = self.key()?;
             self.skip_ws();
             if !self.eat(b':') {
                 return Err(self.err("expected ':' after object key"));
@@ -335,6 +595,27 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An object key: the [`KEYS`] entry it spells, borrowed, or else an
+    /// owned string. A key with no escape is looked up straight from the
+    /// input; an escaped one (`"o\u006b"`) is decoded first, so it finds
+    /// its entry all the same.
+    fn key(&mut self) -> Result<Cow<'static, str>, JsonError> {
+        let rest = &self.bytes[self.pos + 1..];
+        if let Some(end) = rest.iter().position(|&b| ESCAPED[usize::from(b)]) {
+            if rest[end] == b'"' {
+                if let Some(known) = protocol_key(&rest[..end]) {
+                    self.pos += end + 2;
+                    return Ok(Cow::Borrowed(known));
+                }
+            }
+        }
+        let key = self.string()?;
+        Ok(match protocol_key(key.as_bytes()) {
+            Some(known) => Cow::Borrowed(known),
+            None => Cow::Owned(key),
+        })
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
         self.pos += 1; // opening quote
         let mut out = String::new();
@@ -345,7 +626,7 @@ impl<'a> Parser<'a> {
             let rest = &self.bytes[self.pos..];
             let run = rest
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .position(|&b| ESCAPED[usize::from(b)])
                 .unwrap_or(rest.len());
             match std::str::from_utf8(&rest[..run]) {
                 Ok(plain) => out.push_str(plain),
@@ -554,5 +835,221 @@ mod tests {
         assert_eq!(v.get("neg").unwrap().as_u64(), None);
         assert_eq!(v.get("big").unwrap().as_u64(), Some(1000));
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn escaped_protocol_keys_are_still_found() {
+        let v = parse(r#"{"o\u006b":true,"\u0069d":7,"custom":1}"#).unwrap();
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(7));
+        assert_eq!(v.get("custom").and_then(Json::as_u64), Some(1));
+        let Json::Obj(pairs) = &v else {
+            panic!("an object");
+        };
+        assert!(matches!(pairs[0].0, Cow::Borrowed("ok")));
+        assert!(matches!(pairs[1].0, Cow::Borrowed("id")));
+        assert!(matches!(&pairs[2].0, Cow::Owned(k) if k == "custom"));
+    }
+
+    #[test]
+    fn the_key_index_finds_every_key_and_nothing_else() {
+        for (i, key) in KEYS.iter().enumerate() {
+            assert!(!KEYS[..i].contains(key), "{key} listed twice");
+            assert_eq!(protocol_key(key.as_bytes()), Some(*key));
+        }
+        for unknown in ["", "o", "okk", "verbs_", "connection_refusalz", "sessionn"] {
+            assert_eq!(protocol_key(unknown.as_bytes()), None, "{unknown}");
+        }
+    }
+
+    /// The writer this module had before its digit loop and run copies,
+    /// on `write!` and one `push` per character: the bytes on the wire
+    /// must not change.
+    mod reference {
+        use super::super::Json;
+        use std::fmt::Write as _;
+
+        pub fn render(v: &Json) -> String {
+            let mut out = String::new();
+            write_into(v, &mut out);
+            out
+        }
+
+        fn write_into(v: &Json, out: &mut String) {
+            match v {
+                Json::Null => out.push_str("null"),
+                Json::Bool(true) => out.push_str("true"),
+                Json::Bool(false) => out.push_str("false"),
+                Json::Num(n) => write_num(*n, out),
+                Json::Str(s) => write_str(s, out),
+                Json::Arr(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write_into(item, out);
+                    }
+                    out.push(']');
+                }
+                Json::Obj(pairs) => {
+                    out.push('{');
+                    for (i, (k, v)) in pairs.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write_str(k, out);
+                        out.push(':');
+                        write_into(v, out);
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        fn write_num(n: f64, out: &mut String) {
+            if !n.is_finite() {
+                out.push_str("null");
+            } else if n.fract() == 0.0 && n.abs() < 9e15 {
+                let _ = write!(out, "{}", n as i64);
+            } else {
+                let _ = write!(out, "{n}");
+            }
+        }
+
+        fn write_str(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    /// A seeded xorshift generator of JSON values for the property test.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn string(&mut self) -> String {
+            const PIECES: &[&str] = &[
+                "L",
+                "R.N",
+                "verb",
+                "ok",
+                " ",
+                "\"",
+                "\\",
+                "/",
+                "\n",
+                "\r",
+                "\t",
+                "\u{0}",
+                "\u{1}",
+                "\u{8}",
+                "\u{c}",
+                "\u{1f}",
+                "\u{7f}",
+                "é",
+                "π",
+                "😀",
+                "\u{2028}",
+                "plain text run ",
+            ];
+            (0..self.below(6))
+                .map(|_| PIECES[self.below(PIECES.len())])
+                .collect()
+        }
+
+        fn number(&mut self) -> f64 {
+            const EDGES: &[f64] = &[
+                0.0,
+                -0.0,
+                1.0,
+                -1.0,
+                9_007_199_254_740_992.0,
+                -9_007_199_254_740_992.0,
+                8_999_999_999_999_999.0,
+                -8_999_999_999_999_999.0,
+                9e15,
+                -9e15,
+                999_999_999_999_999.0,
+                1_000_000_000_000_000.0,
+                0.5,
+                -1.25,
+                1e-7,
+                123_456.789,
+                1e300,
+                f64::MAX,
+                f64::MIN_POSITIVE,
+            ];
+            match self.below(4) {
+                0 => EDGES[self.below(EDGES.len())],
+                1 => (self.next() >> self.below(64)) as f64,
+                2 => -((self.next() >> (11 + self.below(53))) as f64),
+                _ => (self.next() >> 11) as f64 / (1u64 << self.below(53)) as f64,
+            }
+        }
+
+        fn value(&mut self, depth: usize) -> Json {
+            match self.below(if depth >= 4 { 4 } else { 6 }) {
+                0 => Json::Null,
+                1 => Json::Bool(self.next() & 1 == 1),
+                2 => Json::Num(self.number()),
+                3 => Json::Str(self.string()),
+                4 => Json::Arr((0..self.below(4)).map(|_| self.value(depth + 1)).collect()),
+                _ => Json::Obj(
+                    (0..self.below(5))
+                        .map(|_| {
+                            let key = if self.next() & 1 == 0 {
+                                Cow::Borrowed(KEYS[self.below(KEYS.len())])
+                            } else {
+                                Cow::Owned(self.string())
+                            };
+                            (key, self.value(depth + 1))
+                        })
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn generated_values_match_the_reference_writer_and_round_trip() {
+        let mut gen = Gen(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..4000 {
+            let value = gen.value(0);
+            let text = value.render();
+            assert_eq!(text, reference::render(&value));
+            assert_eq!(parse(&text).as_ref(), Ok(&value), "{text}");
+            let mut line = b"kept ".to_vec();
+            value.write_line(&mut line);
+            assert_eq!(line, format!("kept {text}\n").into_bytes());
+        }
+        // Not finite: written as null, like the reference.
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(n).render(), "null");
+            assert_eq!(reference::render(&Json::Num(n)), "null");
+        }
     }
 }

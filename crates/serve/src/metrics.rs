@@ -308,8 +308,10 @@ impl Metrics {
     }
 
     /// The `memory` block of the `stats` response: regex-arena occupancy
-    /// (the allocation pool bounded by session-scoped compaction) plus
-    /// the process peak RSS the CI soak gates on.
+    /// (the allocation pool bounded by session-scoped compaction), the
+    /// interned field names (never freed; bounded per name by
+    /// [`apt_regex::MAX_FIELD_NAME`]), plus the process peak RSS the CI
+    /// soak gates on.
     pub fn memory_json() -> Json {
         let m = apt_core::MemorySample::take();
         obj(vec![
@@ -318,6 +320,8 @@ impl Metrics {
             ("arena_pinned_nodes", (m.arena.pinned_nodes as u64).into()),
             ("arena_scopes", (m.arena.active_scopes as u64).into()),
             ("arena_freed_total", m.arena.freed_total.into()),
+            ("symbols", m.symbols.symbols.into()),
+            ("symbol_bytes", m.symbols.bytes.into()),
             (
                 "peak_rss_kb",
                 m.peak_rss_kb.map(Json::from).unwrap_or(Json::Null),
@@ -439,6 +443,8 @@ mod tests {
         assert!(mem.get("arena_nodes").and_then(Json::as_u64).unwrap() >= 2);
         assert!(mem.get("arena_bytes").and_then(Json::as_u64).unwrap() > 0);
         assert!(mem.get("arena_freed_total").is_some());
+        assert!(mem.get("symbols").and_then(Json::as_u64).is_some());
+        assert!(mem.get("symbol_bytes").and_then(Json::as_u64).is_some());
         if cfg!(target_os = "linux") {
             assert!(mem.get("peak_rss_kb").and_then(Json::as_u64).unwrap() > 0);
         }

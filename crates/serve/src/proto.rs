@@ -423,8 +423,11 @@ pub fn parse_request(line: &str) -> Result<(Option<Json>, Request), ProtoError> 
             .map(str::to_owned)
             .ok_or_else(|| ProtoError::bad(format!("missing string field {name:?}")))
     };
-    let verb = str_field("verb")?;
-    let request = match verb.as_str() {
+    let verb = frame
+        .get("verb")
+        .and_then(Json::as_str)
+        .ok_or_else(|| ProtoError::bad("missing string field \"verb\""))?;
+    let request = match verb {
         "open_session" => Request::OpenSession {
             axioms: str_field("axioms")?,
         },

@@ -385,19 +385,17 @@ impl Conn {
     }
 }
 
-/// Appends `frame` to the connection's write buffer, counting an error
-/// frame and recording service time when `started` is known, then
-/// attempts an immediate flush.
+/// Encodes `frame` straight into the connection's write buffer, counting
+/// an error frame and, when `started` is known, recording service time
+/// with the encoding in it; then attempts an immediate flush.
 fn respond(metrics: &Metrics, conn: &mut Conn, frame: &Json, started: Option<Instant>) {
     if frame.get("ok") == Some(&Json::Bool(false)) {
         Metrics::bump(&metrics.errors_total);
     }
+    frame.write_line(&mut conn.outbuf);
     if let Some(t) = started {
         metrics.latency_request.record(t.elapsed());
     }
-    let mut text = frame.render();
-    text.push('\n');
-    conn.outbuf.extend_from_slice(text.as_bytes());
     try_flush(conn);
 }
 
@@ -581,11 +579,11 @@ impl Reactor {
                             ),
                             verb: None,
                         };
-                        let mut text = error_frame(None, &e).render();
-                        text.push('\n');
+                        let mut text = Vec::new();
+                        error_frame(None, &e).write_line(&mut text);
                         // Best-effort refusal frame on a socket we are
                         // about to drop; a full buffer loses it.
-                        let _ = stream.write(text.as_bytes());
+                        let _ = stream.write(&text);
                         continue;
                     }
                     let token = self.next_token;
@@ -642,9 +640,13 @@ impl Reactor {
         self.finalize(token);
     }
 
-    /// Reads until `WouldBlock` (or backpressure pauses the
-    /// connection), extracting complete lines and enforcing the frame
-    /// cap on the partial remainder as it grows.
+    /// Reads until a read comes back short of the chunk size, or
+    /// `WouldBlock`, or backpressure pauses the connection; extracts
+    /// complete lines and enforces the frame cap on the partial remainder
+    /// as it grows. A short read has almost always drained the socket, so
+    /// the loop stops there instead of paying one more `read` for the
+    /// `EAGAIN`; the poller is level-triggered and reports any bytes that
+    /// arrived meanwhile.
     fn on_readable(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -700,7 +702,7 @@ impl Reactor {
                             renew_deadline = true;
                         }
                     }
-                    if conn.paused() {
+                    if conn.paused() || n < self.read_buf.len() {
                         break;
                     }
                 }

@@ -13,11 +13,11 @@
 //! bounded queue. The reactor parses a frame and either answers inline
 //! or submits a job. It answers the cheap control verbs (`open_session`,
 //! `stats`, …) itself, and also every `prove` whose query is already
-//! settled in its session's shared proof cache
-//! ([`Portfolio::settled`]): such a run only reads that cache, so the
-//! reactor calls the same [`Portfolio::run`] a worker would and skips the
-//! pool round trip (a worker wake-up, the completion queue, an eventfd
-//! write and a second `epoll_wait`). Everything else that proves goes to
+//! settled in its session's shared proof cache: such a run only reads
+//! that cache, so [`Portfolio::run_settled`] answers it with the outcome
+//! and tally a worker's [`Portfolio::run`] would give, and the reactor
+//! skips the pool round trip (a worker wake-up, the completion queue, an
+//! eventfd write and a second `epoll_wait`). Everything else that proves goes to
 //! the pool: an unsettled query, an equality query, a cached failure the
 //! refuter would follow, a `prove` asking for proof text, and the
 //! `batch`, `report` and `analyze` verbs. So the reactor never searches,
@@ -747,16 +747,18 @@ pub(crate) fn handle_line(ctx: &Arc<Ctx>, line: &str, cancel: &CancelToken) -> L
             // A query settled in the session's shared cache costs one
             // cache read: answer it here instead of paying the pool round
             // trip. Proof text is still rendered on a worker.
-            if !want_proof && portfolio.settled(&dep) {
-                let frame = prove_frame(ctx, &portfolio, &dep, want_proof, id.as_ref());
-                return LineOutcome::reply(frame);
+            if !want_proof {
+                if let Some(outcome) = portfolio.run_settled(&dep) {
+                    return LineOutcome::reply(prove_frame(ctx, &outcome, want_proof, id.as_ref()));
+                }
             }
             let ctx = Arc::clone(ctx);
             let frame_id = id.clone();
             LineOutcome::Job {
                 id,
                 work: Box::new(move || {
-                    prove_frame(&ctx, &portfolio, &dep, want_proof, frame_id.as_ref())
+                    let outcome = portfolio.run(&dep);
+                    prove_frame(&ctx, &outcome, want_proof, frame_id.as_ref())
                 }),
             }
         }
@@ -874,18 +876,12 @@ pub(crate) fn handle_line(ctx: &Arc<Ctx>, line: &str, cancel: &CancelToken) -> L
     }
 }
 
-/// Runs one `prove` query and renders its reply frame: what the reactor
-/// answers a settled query with, and what a pooled job renders.
-fn prove_frame(
-    ctx: &Ctx,
-    portfolio: &Portfolio,
-    dep: &DepQuery,
-    want_proof: bool,
-    id: Option<&Json>,
-) -> Json {
-    let outcome = portfolio.run(dep);
+/// Counts one answered `prove` query and renders its reply frame: what
+/// the reactor answers a settled query with, and what a pooled job
+/// renders.
+fn prove_frame(ctx: &Ctx, outcome: &Outcome, want_proof: bool, id: Option<&Json>) -> Json {
     Metrics::bump(&ctx.metrics.queries_total);
-    ok_frame(id, vec![("result", outcome_json(&outcome, want_proof))])
+    ok_frame(id, vec![("result", outcome_json(outcome, want_proof))])
 }
 
 /// The cheap control verbs, answered on the reactor thread.
@@ -1285,7 +1281,7 @@ mod tests {
             .to_owned()
     }
 
-    fn prove(session: &str, a: &str, b: &str, extra: Vec<(&str, Json)>) -> String {
+    fn prove(session: &str, a: &str, b: &str, extra: Vec<(&'static str, Json)>) -> String {
         let mut pairs = vec![
             ("verb", "prove".into()),
             ("id", 7u64.into()),
@@ -1356,6 +1352,130 @@ mod tests {
         assert!(!inline(&ctx, &proved(vec![("proof", true.into())])));
         // The refuter would follow a cached failure under every engine.
         assert!(!inline(&ctx, &failed(vec![("engines", "all".into())])));
+        ctx.pool.drain();
+    }
+
+    #[test]
+    fn prove_replies_and_error_frames_keep_their_exact_bytes() {
+        let ctx = test_ctx();
+        let session = open(&ctx);
+        let settled = prove(&session, "L.L.N", "L.R.N", vec![]);
+        assert!(!inline(&ctx, &settled));
+        let wire = |line: &str| {
+            let frame = match handle_line(&ctx, line, &CancelToken::new()) {
+                LineOutcome::Reply { frame, .. } => frame,
+                LineOutcome::Job { work, .. } => work(),
+            };
+            let mut bytes = Vec::new();
+            frame.write_line(&mut bytes);
+            String::from_utf8(bytes).expect("UTF-8 frame")
+        };
+        assert_eq!(
+            wire(&settled),
+            concat!(
+                r#"{"ok":true,"id":7,"result":{"answer":"No","reason":null,"degraded":false,"#,
+                r#""proof":true,"engine":"axiomatic","witness":null,"stats":{"goals_attempted":0,"#,
+                r#""cache_hits":1,"shared_hits":1,"subset_checks":0,"dispatch_hits":0,"#,
+                r#""dispatch_misses":0,"neg_memo_hits":0,"cutoffs":{"fuel":0,"depth":0,"#,
+                r#""rewrites":0,"deadline":0,"regex_budget":0,"cancelled":0}}}}"#,
+                "\n"
+            )
+        );
+        assert_eq!(
+            wire(&prove(&session, "L..R", "R", vec![])),
+            concat!(
+                r#"{"ok":false,"error":"bad_request","#,
+                r#""message":"bad path \"a\": regex parse error at byte 3: unexpected token Dot"}"#,
+                "\n"
+            )
+        );
+        assert_eq!(
+            wire(&prove(&session, "L", "L\u{e9}", vec![])),
+            concat!(
+                r#"{"ok":false,"error":"bad_request","#,
+                r#""message":"bad path \"b\": regex parse error at byte 1: unexpected character '"#,
+                "\u{c3}",
+                r#"'"}"#,
+                "\n"
+            )
+        );
+        assert_eq!(
+            wire(&prove("s\t9", "L", "R", vec![])),
+            concat!(
+                r#"{"ok":false,"id":7,"error":"no_such_session","#,
+                r#""message":"no session \"s\\t9\" (evicted or never opened)"}"#,
+                "\n"
+            )
+        );
+        ctx.pool.drain();
+    }
+
+    #[test]
+    fn every_key_the_protocol_writes_is_in_the_key_table() {
+        fn owned_keys(value: &Json, out: &mut Vec<String>) {
+            match value {
+                Json::Obj(pairs) => {
+                    for (k, v) in pairs {
+                        if let std::borrow::Cow::Owned(k) = k {
+                            out.push(k.clone());
+                        }
+                        owned_keys(v, out);
+                    }
+                }
+                Json::Arr(items) => items.iter().for_each(|v| owned_keys(v, out)),
+                _ => {}
+            }
+        }
+        const PROGRAM: &str = "type T {\n    ptr L: T;\n    ptr R: T;\n    data d;\n    \
+            axiom A1: forall p, p.L <> p.R;\n}\n\
+            proc f(root: T) {\n    p = root->L;\nS:  p->d = 1;\n    q = root->R;\nT:  t = q->d;\n}\n";
+        let ctx = test_ctx();
+        let session = open(&ctx);
+        let program =
+            |verb: &str| obj(vec![("verb", verb.into()), ("program", PROGRAM.into())]).render();
+        let lines = [
+            r#"{"verb":"hello"}"#.to_owned(),
+            prove(&session, "L.L.N", "L.R.N", vec![("proof", true.into())]),
+            prove(&session, "L.L.N", "L.R.N", vec![]),
+            prove(&session, "L.N", "R.N", vec![("engines", "all".into())]),
+            obj(vec![
+                ("verb", "batch".into()),
+                ("session", session.as_str().into()),
+                (
+                    "queries",
+                    Json::Arr(vec![obj(vec![("a", "L".into()), ("b", "R".into())])]),
+                ),
+            ])
+            .render(),
+            program("report"),
+            program("analyze"),
+            r#"{"verb":"invalidate","proc":"f"}"#.to_owned(),
+            r#"{"verb":"stats"}"#.to_owned(),
+            r#"{"verb":"ready"}"#.to_owned(),
+            r#"{"verb":"health"}"#.to_owned(),
+            r#"{"verb":"frobnicate"}"#.to_owned(),
+            obj(vec![
+                ("verb", "close_session".into()),
+                ("session", session.as_str().into()),
+            ])
+            .render(),
+            r#"{"verb":"shutdown"}"#.to_owned(),
+        ];
+        for line in lines {
+            let frame = match handle_line(&ctx, &line, &CancelToken::new()) {
+                LineOutcome::Reply { frame, .. } => frame,
+                LineOutcome::Job { work, .. } => work(),
+            };
+            let mut owned = Vec::new();
+            owned_keys(
+                &crate::json::parse(&frame.render()).expect("a frame parses"),
+                &mut owned,
+            );
+            assert!(
+                owned.is_empty(),
+                "{owned:?} missing from json::KEYS ({line})"
+            );
+        }
         ctx.pool.drain();
     }
 

@@ -227,6 +227,25 @@ if [[ "$s1" != "$s2" ]]; then
     exit 1
 fi
 
+# A field name past the symbol table's 256-byte cap is refused before it
+# is interned: the prove frame earns bad_request (apt client exits 2),
+# and the stats memory block counts the table in symbol_bytes.
+long_field=$(printf '%0300d' 0 | tr 0 F)
+raw_rc=0
+raw_err=$("$APT" client --socket "$SOCK" raw \
+    "{\"verb\":\"prove\",\"session\":\"${s1#session: }\",\"a\":\"L.$long_field\",\"b\":\"L\"}" \
+    2>&1 >/dev/null) || raw_rc=$?
+if [[ "$raw_rc" -ne 2 || "$raw_err" != *"[bad_request]"* \
+    || "$raw_err" != *"exceeds the 256-byte limit"* ]]; then
+    echo "error: a 300-byte field name was not refused as bad_request" \
+        "(exit $raw_rc): $raw_err" >&2
+    exit 1
+fi
+if ! "$APT" client --socket "$SOCK" stats | grep -q '"symbol_bytes":[0-9]'; then
+    echo "error: stats memory block lacks symbol_bytes" >&2
+    exit 1
+fi
+
 # Live metrics respond, then a clean shutdown: exit 0 and socket removed.
 "$APT" client --socket "$SOCK" stats | grep -q '"ok":true'
 "$APT" client --socket "$SOCK" shutdown >/dev/null

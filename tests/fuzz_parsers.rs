@@ -5,6 +5,7 @@
 //! usable position information (a byte offset or 1-based line).
 
 use apt_axioms::{adds::parse_adds, Axiom, AxiomSet};
+use apt_regex::{ParseRegexError, Path};
 use proptest::prelude::*;
 
 const REGEX_CORPUS: &[&str] = &[
@@ -68,6 +69,23 @@ fn check_regex(input: &str) {
             e.position
         );
     }
+    check_path(input);
+}
+
+/// A path parsed the long way: the regex parser, then `Path::try_from`.
+fn regex_route(input: &str) -> Result<Path, ParseRegexError> {
+    let re = apt_regex::parse(input)?;
+    Path::try_from(&re).map_err(|message| ParseRegexError {
+        position: 0,
+        message,
+    })
+}
+
+/// `Path::parse` reads plain dotted words itself; on every input it must
+/// give what the regex route gives: the same path, or the same error
+/// position and message.
+fn check_path(input: &str) {
+    assert_eq!(Path::parse(input), regex_route(input), "{input:?}");
 }
 
 fn check_axiom_set(input: &str) {
@@ -153,4 +171,78 @@ fn axiom_set_error_reports_the_offending_line() {
     let e = AxiomSet::parse("A1: forall p, p.L <> p.R\n\ngarbage here\n").unwrap_err();
     assert_eq!(e.line, Some(3));
     assert!(e.to_string().contains("line 3"), "{e}");
+}
+
+#[test]
+fn path_parse_matches_the_regex_route_on_examples_and_edge_cases() {
+    let long = "f".repeat(apt_regex::MAX_FIELD_NAME);
+    let too_long = format!("{long}g");
+    let mut inputs: Vec<String> = [
+        "L.L.N",
+        "L..R",
+        ".L",
+        "L.",
+        "eps.L",
+        "L . R",
+        "epsilon",
+        "empty",
+        "eps",
+        "L|",
+        "(L",
+        "L+*",
+        "Lé.R",
+        "é",
+        "_x.y1",
+        "1L",
+        "L.eps",
+        "",
+        " ",
+        "L.L.N\n",
+        "ncolE.nrowE",
+    ]
+    .iter()
+    .map(|s| (*s).to_owned())
+    .collect();
+    inputs.extend([
+        long.clone(),
+        format!("L.{long}.R"),
+        too_long.clone(),
+        format!("L.{too_long}"),
+        format!("({too_long}|R)"),
+    ]);
+    // Every string literal of the examples, and every axiom side of the
+    // example programs.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    for dir in [root.clone(), root.join("programs")] {
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("examples/ is readable")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.is_file())
+            .collect();
+        files.sort();
+        for file in files {
+            let text = std::fs::read_to_string(&file).expect("example text");
+            if file.extension().is_some_and(|e| e == "rs") {
+                inputs.extend(text.split('"').skip(1).step_by(2).map(str::to_owned));
+            }
+            for line in text.lines().filter(|l| l.contains("forall")) {
+                let Some((_, body)) = line.split_once(',') else {
+                    continue;
+                };
+                for side in body.trim().trim_end_matches(';').split(['<', '>', '=']) {
+                    if let Some((_, path)) = side.trim().split_once('.') {
+                        inputs.push(path.to_owned());
+                    }
+                }
+            }
+        }
+    }
+    assert!(inputs.len() > 60, "{} inputs", inputs.len());
+    for input in &inputs {
+        check_path(input);
+    }
+    let e = Path::parse(&format!("L.{too_long}")).unwrap_err();
+    assert_eq!(e.position, 2);
+    assert!(e.message.contains("exceeds the 256-byte limit"), "{e}");
+    assert!(Path::parse(&long).is_ok(), "a name at the cap parses");
 }
