@@ -35,8 +35,8 @@ use apt_core::{
     Origin, Portfolio, PortfolioConfig, PortfolioStats, ProverConfig, ProverStats, TallySink,
 };
 use apt_paths::{
-    analyze_proc, analyze_program, Analysis, BatchOptions, BatchQuery, DepTable, ProgramAnalysis,
-    QueryError, RowOutcome,
+    analyze_proc, analyze_program, Analysis, BatchOptions, BatchQuery, DepTable, ProcReport,
+    ProgramAnalysis, ProgramReport, QueryError, RowOutcome,
 };
 use apt_regex::Path;
 use apt_serve::json::{obj, Json};
@@ -44,8 +44,7 @@ use apt_serve::{
     AnalyzeSection, Client, SectionOutcome, ServeConfig, Server, SessionSection, Snapshot,
 };
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A CLI failure: message for stderr, nonzero exit.
 #[derive(Debug)]
@@ -100,27 +99,6 @@ impl std::ops::Deref for CmdOutput {
 impl std::fmt::Display for CmdOutput {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.text)
-    }
-}
-
-#[doc(hidden)]
-pub mod test_support {
-    //! Internal fault-injection hooks for the robustness tests. Not part
-    //! of the public interface.
-    use std::cell::RefCell;
-
-    thread_local! {
-        static PANIC_LABEL: RefCell<Option<String>> = const { RefCell::new(None) };
-    }
-
-    /// Makes the per-loop report query for `label` panic (on this thread
-    /// only). Pass `None` to clear.
-    pub fn inject_report_panic(label: Option<&str>) {
-        PANIC_LABEL.with(|c| *c.borrow_mut() = label.map(str::to_owned));
-    }
-
-    pub(crate) fn should_panic_for(label: &str) -> bool {
-        PANIC_LABEL.with(|c| c.borrow().as_deref() == Some(label))
     }
 }
 
@@ -270,11 +248,11 @@ pub fn cmd_prove(
     if widened {
         let _ = writeln!(out, "engines: {}", portfolio.config.engines);
     }
-    let runner = Portfolio::new(
+    let runner = Portfolio::tallied(
         DepEngine::with_config(axioms, config.clone()),
         portfolio.config.clone(),
-    )
-    .with_tallies(&portfolio.tallies);
+        &portfolio.tallies,
+    );
     let axioms = runner.engine().axioms();
     let outcome = runner.run(&DepQuery::disjoint(&a, &b).origin(origin));
     match outcome.verdict.answer {
@@ -487,220 +465,51 @@ pub fn cmd_query_carried(
     })
 }
 
-/// One line of the parallelization report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportLine {
-    /// The labeled statement.
-    pub label: String,
-    /// Loop nesting depth at the statement.
-    pub loop_depth: usize,
-    /// The loop-carried answer, if the statement sits in a loop.
-    pub carried: Option<Answer>,
-    /// For a Maybe: why (degradation pedigree, or genuinely unknown).
-    pub maybe: Option<MaybeReason>,
-    /// Whether the query panicked (isolated; counted as a Maybe).
-    pub panicked: bool,
-    /// Wall-clock budget spent on this label's query, in microseconds.
-    pub micros: u128,
-    /// Prover work counters for this label's query.
-    pub stats: ProverStats,
-}
-
-/// One loop-carried query under its own sub-budget, panic-isolated: a
-/// crash in the prover (or an injected test fault) degrades this one
-/// line to Maybe instead of taking down the whole report.
-fn carried_line(analysis: &Analysis, label: &str, sub: &ProverConfig) -> ReportLine {
-    let depth = analysis.snapshot(label).map_or(0, |s| s.loops.len());
-    let started = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if test_support::should_panic_for(label) {
-            panic!("injected report fault for {label}");
-        }
-        let mut scoped = analysis.clone();
-        scoped.set_prover_config(sub.clone());
-        scoped.test_loop_carried(label, None)
-    }));
-    let micros = started.elapsed().as_micros();
-    let (carried, maybe, panicked, stats) = match result {
-        Ok(Ok(outcome)) => (Some(outcome.answer), outcome.maybe, false, outcome.stats),
-        Ok(Err(
-            QueryError::NoCommonAnchor | QueryError::NotInLoop(_) | QueryError::NoSuchLabel(_),
-        )) => (
-            Some(Answer::Maybe),
-            Some(MaybeReason::GenuinelyUnknown),
-            false,
-            ProverStats::default(),
-        ),
-        Err(_) => (Some(Answer::Maybe), None, true, ProverStats::default()),
-    };
-    ReportLine {
-        label: label.to_owned(),
-        loop_depth: depth,
-        carried,
-        maybe,
-        panicked,
-        micros,
-        stats,
-    }
-}
-
-/// Splits the report's overall deadline evenly across its loop queries,
-/// so one adversarial loop cannot starve the others.
-fn sub_config(config: &ProverConfig, queries: usize) -> ProverConfig {
-    let mut sub = config.clone();
-    if let (Some(total), true) = (sub.budget.deadline, queries > 1) {
-        sub.budget.deadline = Some(total / u32::try_from(queries).unwrap_or(u32::MAX));
-    }
-    sub
-}
-
-/// Computes the loop-parallelization report for one procedure: every
-/// labeled access inside a loop gets a loop-carried dependence test
-/// under its own sub-budget and panic isolation.
-///
-/// # Errors
-///
-/// Returns a [`CliError`] on malformed input.
-pub fn report_lines(
+/// A program's whole dependence workload, run once through
+/// [`ProgramAnalysis::run`] (replaying from `baseline` where it may): what
+/// `apt report`, `apt batch` and `apt analyze` render. A `proc_name`
+/// must name one of the program's procedures; it selects what the caller
+/// prints, while the run still covers the whole program.
+fn run_program(
     program_text: &str,
     proc_name: Option<&str>,
+    baseline: Option<&DepTable>,
+    jobs: usize,
     config: &ProverConfig,
     portfolio: &PortfolioOpts,
-) -> Result<Vec<ReportLine>, CliError> {
-    let (_name, mut analysis) = analyze(program_text, proc_name, config)?;
-    portfolio.apply(&mut analysis);
-    Ok(lines_of(&analysis, config))
+) -> Result<(ProgramAnalysis, ProgramReport), CliError> {
+    let program = apt_ir::parse_program(program_text).map_err(|e| fail(e.to_string()))?;
+    if let Some(name) = proc_name.filter(|n| program.proc(n).is_none()) {
+        let e = QueryError::NoSuchLabel(name.to_owned());
+        return Err(fail(format!("cannot analyze {name:?}: {e}")));
+    }
+    if program.procs.is_empty() {
+        return Err(fail("program has no procedures"));
+    }
+    let mut analysis = analyze_program(&program).with_prover_config(config.clone());
+    portfolio.apply_program(&mut analysis);
+    let report = analysis.run(baseline, &BatchOptions::new().with_jobs(jobs));
+    Ok((analysis, report))
 }
 
-/// [`report_lines`] over an analysis already configured with `config`
-/// and the report's roster.
-fn lines_of(analysis: &Analysis, config: &ProverConfig) -> Vec<ReportLine> {
-    let in_loop = analysis.snapshots().filter(|s| !s.loops.is_empty()).count();
-    let sub = sub_config(config, in_loop);
-    let mut lines = Vec::new();
-    for snap in analysis.snapshots() {
-        if snap.loops.is_empty() {
-            lines.push(ReportLine {
-                label: snap.label.clone(),
-                loop_depth: 0,
-                carried: None,
-                maybe: None,
-                panicked: false,
-                micros: 0,
-                stats: ProverStats::default(),
-            });
-        } else {
-            lines.push(carried_line(analysis, &snap.label, &sub));
-        }
-    }
-    lines
-}
-
-/// Renders the report for one procedure; returns whether any answer was
-/// Maybe.
-fn report_proc(
-    program_text: &str,
-    name: &str,
-    config: &ProverConfig,
-    portfolio: &PortfolioOpts,
-    out: &mut String,
-) -> Result<bool, CliError> {
-    let (_name, mut analysis) = analyze(program_text, Some(name), config)?;
-    portfolio.apply(&mut analysis);
-    let lines = lines_of(&analysis, config);
-    let mut any_maybe = false;
-    let _ = writeln!(out, "== parallelization report: procedure {name} ==");
-    let _ = writeln!(
-        out,
-        "{:<14} {:<26} {:<6} innermost loop-carried dependence",
-        "label", "access", "depth"
-    );
-    for line in &lines {
-        let access = match analysis.snapshot(&line.label) {
-            Some(snap) => format!(
-                "{}{}->{}",
-                if snap.access.is_write {
-                    "write "
-                } else {
-                    "read  "
-                },
-                snap.access.ptr,
-                snap.access.field
-            ),
-            None => "?".to_owned(),
-        };
-        let verdict = match line.carried {
-            None => "- (not in a loop)".to_owned(),
-            Some(Answer::No) => format!("No  -> PARALLELIZABLE [{} us]", line.micros),
-            Some(Answer::Yes) => format!("Yes -> keep sequential [{} us]", line.micros),
-            Some(Answer::Maybe) => {
-                any_maybe = true;
-                let why = if line.panicked {
-                    "internal error: query panicked".to_owned()
-                } else {
-                    line.maybe
-                        .unwrap_or(MaybeReason::GenuinelyUnknown)
-                        .to_string()
-                };
-                format!("Maybe ({why}) -> keep sequential [{} us]", line.micros)
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{:<14} {:<26} {:<6} {}",
-            line.label, access, line.loop_depth, verdict
-        );
-    }
-    if lines.is_empty() {
-        let _ = writeln!(out, "(no labeled memory accesses)");
-        return Ok(false);
-    }
-    let mut work = ProverStats::default();
-    for line in &lines {
-        work.merge(&line.stats);
-    }
-    let degraded = lines
+/// The procedures of a run that `proc_name` selects: one, or all.
+fn selected<'r>(
+    report: &'r ProgramReport,
+    proc_name: Option<&'r str>,
+) -> impl Iterator<Item = &'r ProcReport> {
+    report
+        .procs
         .iter()
-        .filter(|l| l.panicked || l.maybe.is_some_and(|m| m.is_degraded()))
-        .count();
-    if degraded > 0 {
-        let spent: u128 = lines.iter().map(|l| l.micros).sum();
-        let _ = writeln!(
-            out,
-            "({degraded} degraded answer(s); {spent} us spent across {} loop queries)",
-            lines.iter().filter(|l| l.carried.is_some()).count()
-        );
-    }
+        .filter(move |p| proc_name.is_none_or(|n| p.name == n))
+}
 
-    // Pairwise conflicts between labeled accesses (at least one a write).
-    let labels: Vec<String> = lines.iter().map(|l| l.label.clone()).collect();
-    let mut pair_lines = Vec::new();
-    for (i, a) in labels.iter().enumerate() {
-        for b in labels.iter().skip(i + 1) {
-            let (Some(sa), Some(sb)) = (analysis.snapshot(a), analysis.snapshot(b)) else {
-                continue;
-            };
-            if !(sa.access.is_write || sb.access.is_write) {
-                continue;
-            }
-            let verdict = match analysis.test_sequential(a, b) {
-                Ok(o) => {
-                    any_maybe = o.answer == Answer::Maybe || any_maybe;
-                    work.merge(&o.stats);
-                    o.verdict().to_string()
-                }
-                Err(_) => {
-                    any_maybe = true;
-                    "Maybe (no common anchor)".to_owned()
-                }
-            };
-            pair_lines.push(format!("{a:<14} vs {b:<14} {verdict}"));
-        }
-    }
-    if !pair_lines.is_empty() {
-        let _ = writeln!(out, "-- pairwise conflicts (>=1 write) --");
-        for l in pair_lines {
-            let _ = writeln!(out, "{l}");
+/// Renders the dispatch counters summed over a procedure's freshly
+/// proved rows.
+fn render_dispatch(out: &mut String, proc: &ProcReport) {
+    let mut work = ProverStats::default();
+    for row in &proc.rows {
+        if let RowOutcome::Fresh(outcome) = &row.outcome {
+            work.merge(&outcome.stats);
         }
     }
     let _ = writeln!(
@@ -708,36 +517,136 @@ fn report_proc(
         "(dispatch: {} admitted, {} pruned; {} negative-memo hits)",
         work.dispatch_hits, work.dispatch_misses, work.neg_memo_hits
     );
-    Ok(any_maybe)
+}
+
+/// Renders one procedure's parallelization report from its rows of the
+/// program run: every labeled access with its loop-carried answer, then
+/// every pairwise conflict, in [`Analysis::all_queries`] order.
+fn report_proc(out: &mut String, analysis: &Analysis, proc: &ProcReport) {
+    let _ = writeln!(out, "== parallelization report: procedure {} ==", proc.name);
+    let _ = writeln!(
+        out,
+        "{:<14} {:<26} {:<6} innermost loop-carried dependence",
+        "label", "access", "depth"
+    );
+    let snaps = analysis.ordered_snapshots();
+    let (mut loops, mut degraded) = (0, 0);
+    for snap in &snaps {
+        let access = format!(
+            "{}{}->{}",
+            if snap.access.is_write {
+                "write "
+            } else {
+                "read  "
+            },
+            snap.access.ptr,
+            snap.access.field
+        );
+        let verdict = if snap.loops.is_empty() {
+            "- (not in a loop)".to_owned()
+        } else {
+            loops += 1;
+            let row = proc.rows.iter().find(|r| {
+                matches!(&r.query, BatchQuery::LoopCarried { label, .. } if *label == snap.label)
+            });
+            // An unphrasable query is the axioms' Maybe.
+            let (answer, why) = match row.map(|r| &r.outcome) {
+                Some(RowOutcome::Fresh(o)) => (o.answer, o.maybe),
+                Some(other) => (other.answer(), None),
+                None => (Answer::Maybe, None),
+            };
+            match answer {
+                Answer::No => "No  -> PARALLELIZABLE".to_owned(),
+                Answer::Yes => "Yes -> keep sequential".to_owned(),
+                Answer::Maybe => {
+                    let why = why.unwrap_or(MaybeReason::GenuinelyUnknown);
+                    degraded += usize::from(why.is_degraded());
+                    format!("Maybe ({why}) -> keep sequential")
+                }
+            }
+        };
+        let _ = writeln!(
+            out,
+            "{:<14} {:<26} {:<6} {}",
+            snap.label,
+            access,
+            snap.loops.len(),
+            verdict
+        );
+    }
+    if snaps.is_empty() {
+        let _ = writeln!(out, "(no labeled memory accesses)");
+        return;
+    }
+    if degraded > 0 {
+        let _ = writeln!(
+            out,
+            "({degraded} degraded answer(s) across {loops} loop queries)"
+        );
+    }
+    // Pairwise conflicts between labeled accesses (at least one a write).
+    let pairs: Vec<String> = proc
+        .rows
+        .iter()
+        .filter_map(|row| match &row.query {
+            BatchQuery::Sequential { from, to } => {
+                let verdict = match &row.outcome {
+                    RowOutcome::Fresh(o) => o.verdict().to_string(),
+                    RowOutcome::Replayed(answer) => answer.to_string(),
+                    RowOutcome::Error(_) => "Maybe (no common anchor)".to_owned(),
+                };
+                Some(format!("{from:<14} vs {to:<14} {verdict}"))
+            }
+            BatchQuery::LoopCarried { .. } => None,
+        })
+        .collect();
+    if !pairs.is_empty() {
+        let _ = writeln!(out, "-- pairwise conflicts (>=1 write) --");
+        for line in pairs {
+            let _ = writeln!(out, "{line}");
+        }
+    }
+    render_dispatch(out, proc);
 }
 
 /// `apt report`: renders the parallelization report — for one procedure,
-/// or for every procedure when none is named.
+/// or for every procedure when none is named. The whole program runs once
+/// on one job; the report is a rendering of that run.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] on malformed input.
+/// Returns a [`CliError`] on malformed input or an unknown procedure.
 pub fn cmd_report(
     program_text: &str,
     proc_name: Option<&str>,
     config: &ProverConfig,
     portfolio: &PortfolioOpts,
 ) -> Result<CmdOutput, CliError> {
-    let program = apt_ir::parse_program(program_text).map_err(|e| fail(e.to_string()))?;
-    let names: Vec<String> = match proc_name {
-        Some(n) => vec![n.to_owned()],
-        None => program.procs.iter().map(|p| p.name.clone()).collect(),
-    };
-    if names.is_empty() {
-        return Err(fail("program has no procedures"));
-    }
+    let (analysis, report) = run_program(program_text, proc_name, None, 1, config, portfolio)?;
+    render_report(&analysis, &report, proc_name, portfolio)
+}
+
+/// Renders [`cmd_report`]'s output from a program run.
+fn render_report(
+    analysis: &ProgramAnalysis,
+    report: &ProgramReport,
+    proc_name: Option<&str>,
+    portfolio: &PortfolioOpts,
+) -> Result<CmdOutput, CliError> {
     let mut out = String::new();
     let mut any_maybe = false;
-    for (i, name) in names.iter().enumerate() {
+    for (i, proc) in selected(report, proc_name).enumerate() {
         if i > 0 {
             let _ = writeln!(out);
         }
-        any_maybe |= report_proc(program_text, name, config, portfolio, &mut out)?;
+        let proc_analysis = analysis
+            .analysis(&proc.name)
+            .ok_or_else(|| fail(format!("internal: no analysis of {:?}", proc.name)))?;
+        report_proc(&mut out, proc_analysis, proc);
+        any_maybe |= proc
+            .rows
+            .iter()
+            .any(|r| r.outcome.answer() == Answer::Maybe);
     }
     if let Some(stats) = portfolio.stats() {
         render_portfolio_stats(&mut out, &stats);
@@ -764,14 +673,15 @@ pub fn cmd_report(
     })
 }
 
-/// `apt batch`: runs the full report workload (loop-carried queries plus
-/// pairwise write conflicts) through the batched dependence engine, fanned
-/// out over `jobs` worker threads with a shared proof cache. For one
-/// procedure, or for every procedure when none is named.
+/// `apt batch`: the whole program's query workload (loop-carried queries
+/// plus pairwise write conflicts) run once through the batched engine,
+/// fanned out over `jobs` worker threads, printed per query with each
+/// procedure's dispatch and cache counters. For one procedure, or for
+/// every procedure when none is named.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] on malformed input.
+/// Returns a [`CliError`] on malformed input or an unknown procedure.
 pub fn cmd_batch(
     program_text: &str,
     proc_name: Option<&str>,
@@ -779,58 +689,34 @@ pub fn cmd_batch(
     config: &ProverConfig,
     portfolio: &PortfolioOpts,
 ) -> Result<CmdOutput, CliError> {
-    let program = apt_ir::parse_program(program_text).map_err(|e| fail(e.to_string()))?;
-    let names: Vec<String> = match proc_name {
-        Some(n) => vec![n.to_owned()],
-        None => program.procs.iter().map(|p| p.name.clone()).collect(),
-    };
-    if names.is_empty() {
-        return Err(fail("program has no procedures"));
-    }
+    let (_, report) = run_program(program_text, proc_name, None, jobs, config, portfolio)?;
     let mut out = String::new();
     let mut any_maybe = false;
-    for (i, name) in names.iter().enumerate() {
+    for (i, proc) in selected(&report, proc_name).enumerate() {
         if i > 0 {
             let _ = writeln!(out);
         }
-        let (_name, mut analysis) = analyze(program_text, Some(name), config)?;
-        portfolio.apply(&mut analysis);
-        let queries = analysis.all_queries();
         let _ = writeln!(
             out,
-            "== batch: procedure {name} ({} queries, {jobs} jobs) ==",
-            queries.len()
+            "== batch: procedure {} ({} queries, {jobs} jobs) ==",
+            proc.name,
+            proc.rows.len()
         );
-        if queries.is_empty() {
+        if proc.rows.is_empty() {
             let _ = writeln!(out, "(no labeled memory accesses)");
             continue;
         }
-        let batch = analysis.run_batch(&queries, &BatchOptions::new().with_jobs(jobs));
-        let (results, cache) = (batch.results, batch.cache);
-        let mut work = ProverStats::default();
-        for (query, result) in queries.iter().zip(results) {
-            let what = match query {
-                BatchQuery::LoopCarried { label, .. } => format!("carried {label}"),
-                BatchQuery::Sequential { from, to } => format!("{from} vs {to}"),
+        for row in &proc.rows {
+            any_maybe |= row.outcome.answer() == Answer::Maybe;
+            let verdict = match &row.outcome {
+                RowOutcome::Fresh(o) => o.verdict().to_string(),
+                RowOutcome::Replayed(answer) => answer.to_string(),
+                RowOutcome::Error(e) => format!("Maybe ({e})"),
             };
-            let verdict = match result {
-                Ok(outcome) => {
-                    any_maybe |= outcome.answer == Answer::Maybe;
-                    work.merge(&outcome.stats);
-                    outcome.verdict().to_string()
-                }
-                Err(e) => {
-                    any_maybe = true;
-                    format!("Maybe ({e})")
-                }
-            };
-            let _ = writeln!(out, "{what:<30} {verdict}");
+            let _ = writeln!(out, "{:<30} {verdict}", row.key);
         }
-        let _ = writeln!(
-            out,
-            "(dispatch: {} admitted, {} pruned; {} negative-memo hits)",
-            work.dispatch_hits, work.dispatch_misses, work.neg_memo_hits
-        );
+        render_dispatch(&mut out, proc);
+        let cache = &proc.cache;
         let _ = writeln!(
             out,
             "(cache: {} proved / {} failed goals, {} subset memos; \
@@ -936,10 +822,6 @@ pub fn cmd_analyze(
     config: &ProverConfig,
     portfolio: &PortfolioOpts,
 ) -> Result<CmdOutput, CliError> {
-    let program = apt_ir::parse_program(program_text).map_err(|e| fail(e.to_string()))?;
-    if program.procs.is_empty() {
-        return Err(fail("program has no procedures"));
-    }
     let baseline = match baseline_path {
         Some(path) => load_baseline(path),
         None => Baseline {
@@ -948,12 +830,14 @@ pub fn cmd_analyze(
             other_analyses: Vec::new(),
         },
     };
-    let mut analysis = analyze_program(&program).with_prover_config(config.clone());
-    portfolio.apply_program(&mut analysis);
-    let report = analysis.run(
+    let (_, report) = run_program(
+        program_text,
+        None,
         baseline.table.as_ref(),
-        &BatchOptions::new().with_jobs(jobs),
-    );
+        jobs,
+        config,
+        portfolio,
+    )?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1074,11 +958,12 @@ SERVE PERSISTENCE FLAGS:
   --fault-plan <spec>          DEV ONLY — inject snapshot I/O faults,
                                e.g. 'write_err=2,torn=0.5,fsync_err'
 
-RESOURCE FLAGS (prove / query / report / batch; on `serve` they set the
-per-request budget ceiling, on `client prove` the request's overrides):
+RESOURCE FLAGS (prove / query / report / batch / analyze; on `serve`
+they set the per-request budget ceiling, on `client prove` the
+request's overrides):
   --fuel <n>            goal attempts per query (default 100000)
-  --deadline-ms <n>     wall-clock budget per command; `report` splits it
-                        evenly across its loop queries
+  --deadline-ms <n>     wall-clock budget per command; a batch gives each
+                        query deadline / ceil(unique queries / jobs)
   --max-dfa-states <n>  DFA states any one subset construction may build
 
 Exhausting any budget degrades the affected answer to an explicit
@@ -1608,18 +1493,23 @@ mod tests {
     #[test]
     fn report_flags_parallelizable_loops() {
         let cfg = ProverConfig::default();
-        let lines = report_lines(LIST_PROGRAM, None, &cfg, &PortfolioOpts::off()).expect("runs");
-        let u = lines.iter().find(|l| l.label == "U").expect("U listed");
-        assert_eq!(u.loop_depth, 1);
-        assert_eq!(u.carried, Some(Answer::No));
-        assert!(!u.panicked);
-        let v = lines.iter().find(|l| l.label == "V").expect("V listed");
-        assert_eq!(v.loop_depth, 0);
-        assert_eq!(v.carried, None);
         let rendered =
             cmd_report(LIST_PROGRAM, None, &cfg, &PortfolioOpts::off()).expect("renders");
-        assert!(rendered.contains("PARALLELIZABLE"), "{rendered}");
+        let row = |label: &str| {
+            rendered
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(label))
+                .unwrap_or_else(|| panic!("{label} listed: {rendered}"))
+        };
+        // U sits one loop deep and its loop-carried dependence breaks.
+        let u: Vec<&str> = row("U").split_whitespace().collect();
+        assert_eq!(u[3], "1", "{rendered}");
+        assert!(row("U").ends_with("No  -> PARALLELIZABLE"), "{rendered}");
+        let v: Vec<&str> = row("V").split_whitespace().collect();
+        assert_eq!(v[3], "0", "{rendered}");
+        assert!(row("V").ends_with("- (not in a loop)"), "{rendered}");
         assert!(rendered.contains("pairwise conflicts"), "{rendered}");
+        assert_eq!(rendered.exit_code(), 1, "U vs V stays a Maybe: {rendered}");
     }
 
     #[test]
@@ -1643,49 +1533,69 @@ mod tests {
 
     #[test]
     fn report_isolates_a_panicking_loop_query() {
-        // Inject a panic into U's loop-carried query: the report must
-        // still render, keep V's line intact, and mark U as a Maybe.
-        test_support::inject_report_panic(Some("U"));
-        let rendered = cmd_report(
-            LIST_PROGRAM,
-            None,
-            &ProverConfig::default(),
-            &PortfolioOpts::off(),
-        );
-        test_support::inject_report_panic(None);
-        let rendered = rendered.expect("report survives the panic");
+        // U's loop-carried query panicked: its row holds the Maybe the
+        // batch fan-out loop answers a panicking query with. The report
+        // must still render, keep V's line intact, and mark U as a Maybe.
+        let cfg = ProverConfig::default();
+        let off = PortfolioOpts::off();
+        let (analysis, mut report) =
+            run_program(LIST_PROGRAM, None, None, 1, &cfg, &off).expect("runs");
+        let u = report.procs[0]
+            .rows
+            .iter_mut()
+            .find(|r| r.key == "carried U")
+            .expect("U is asked");
+        u.outcome = RowOutcome::Fresh(apt_core::TestOutcome {
+            answer: Answer::Maybe,
+            reason: apt_core::Reason::Unproven,
+            maybe: Some(MaybeReason::Panicked),
+            proofs: Vec::new(),
+            stats: ProverStats::default(),
+            witness: None,
+            engine: None,
+        });
+        let rendered = render_report(&analysis, &report, None, &off).expect("renders");
         assert!(rendered.contains("query panicked"), "{rendered}");
         assert!(rendered.contains("keep sequential"), "{rendered}");
         assert!(rendered.contains('V'), "{rendered}");
         assert_eq!(rendered.exit_code(), 1);
-        // Without the injection the same report is clean again.
-        let clean = cmd_report(
-            LIST_PROGRAM,
-            None,
-            &ProverConfig::default(),
-            &PortfolioOpts::off(),
-        )
-        .expect("renders");
+        // Without the panic the same report is clean again.
+        let clean = cmd_report(LIST_PROGRAM, None, &cfg, &off).expect("renders");
         assert!(clean.contains("PARALLELIZABLE"), "{clean}");
     }
 
     #[test]
     fn batch_agrees_with_sequential_queries() {
+        // `batch` and `report` render one run; `apt query` asks each of its
+        // queries alone. All three must answer alike.
         let cfg = ProverConfig::default();
-        let rendered = cmd_batch(LIST_PROGRAM, None, 4, &cfg, &PortfolioOpts::off()).expect("runs");
-        assert!(rendered.contains("carried U"), "{rendered}");
-        assert!(rendered.contains("U vs V"), "{rendered}");
-        // The loop-carried U dependence is broken by listness (as the
-        // report shows), and U vs V conflict at head->f stays a Maybe/Yes
-        // question answered identically to `apt query`.
-        let lines = report_lines(LIST_PROGRAM, None, &cfg, &PortfolioOpts::off()).expect("runs");
-        let u = lines.iter().find(|l| l.label == "U").expect("U listed");
-        assert_eq!(u.carried, Some(Answer::No));
-        assert!(
+        let off = PortfolioOpts::off();
+        let rendered = cmd_batch(LIST_PROGRAM, None, 4, &cfg, &off).expect("runs");
+        let verdict = |what: &str| {
             rendered
                 .lines()
-                .any(|l| l.starts_with("carried U") && l.contains("No")),
-            "{rendered}"
+                .find_map(|l| l.strip_prefix(what))
+                .map(str::trim)
+                .unwrap_or_else(|| panic!("{what} listed: {rendered}"))
+                .to_owned()
+        };
+        assert_eq!(verdict("carried U"), "No", "{rendered}");
+        let carried = cmd_query_carried(LIST_PROGRAM, None, "U", None, &cfg, &off).expect("runs");
+        assert!(carried.contains("answer: No"), "{carried}");
+        let report = cmd_report(LIST_PROGRAM, None, &cfg, &off).expect("renders");
+        assert!(report.contains("PARALLELIZABLE"), "{report}");
+        let pair = verdict("U vs V");
+        let sequential =
+            cmd_query_sequential(LIST_PROGRAM, None, "U", "V", &cfg, &off).expect("runs");
+        assert!(
+            sequential.contains(&format!("answer: {pair}")),
+            "{pair} vs {sequential}"
+        );
+        assert!(
+            report
+                .lines()
+                .any(|l| l.starts_with("U ") && l.ends_with(&pair)),
+            "{report}"
         );
     }
 

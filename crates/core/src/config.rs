@@ -292,7 +292,8 @@ impl CutoffStats {
     }
 
     /// Bumps the counter matching `reason` (no-op for
-    /// [`MaybeReason::GenuinelyUnknown`], which is not a cutoff).
+    /// [`MaybeReason::GenuinelyUnknown`] and [`MaybeReason::Panicked`],
+    /// which are not cutoffs).
     pub fn record(&mut self, reason: MaybeReason) {
         use crate::verdict::SearchLimit;
         match reason {
@@ -302,7 +303,7 @@ impl CutoffStats {
             MaybeReason::DeadlineExceeded => self.deadline += 1,
             MaybeReason::RegexBudget => self.regex_budget += 1,
             MaybeReason::Cancelled => self.cancelled += 1,
-            MaybeReason::GenuinelyUnknown => {}
+            MaybeReason::GenuinelyUnknown | MaybeReason::Panicked => {}
         }
     }
 

@@ -270,7 +270,8 @@ impl TestOutcome {
         }
     }
 
-    /// Whether a resource limit (not the axioms) forced this answer.
+    /// Whether something other than the axioms (a resource limit, a
+    /// cancellation, a panicked query) forced this answer.
     pub fn is_degraded(&self) -> bool {
         self.maybe.is_some_and(|r| r.is_degraded())
     }

@@ -39,6 +39,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -819,6 +820,9 @@ impl DepEngine {
     /// the rest of the batch behind it; each worker runs one prover wired
     /// to the shared cache.
     ///
+    /// A query whose run panics answers `Maybe`
+    /// ([`MaybeReason::Panicked`]); the rest of the batch still runs.
+    ///
     /// `jobs == 1` runs inline on the calling thread (no spawn), still
     /// with dedup and the shared cache. Batches smaller than
     /// [`INLINE_BATCH_THRESHOLD`] unique queries are forced inline even
@@ -840,6 +844,11 @@ impl DepEngine {
 /// `worker(shares)` builds one worker's state, `shares` being how many
 /// unique queries each worker runs in sequence; `run` answers one unique
 /// query on that state.
+///
+/// Each unique query runs panic-isolated: a `run` that panics answers
+/// `Maybe` ([`MaybeReason::Panicked`]) at every position deduplicated
+/// onto that query, and its worker's state, which the panic may have
+/// left half-updated, is rebuilt before the worker's next query.
 pub(crate) fn run_deduped<W>(
     queries: &[DepQuery],
     jobs: usize,
@@ -873,16 +882,28 @@ pub(crate) fn run_deduped<W>(
         jobs.clamp(1, unique.len())
     };
     let shares = unique.len().div_ceil(jobs);
+    let answer = |state: &mut W, q: &DepQuery| {
+        catch_unwind(AssertUnwindSafe(|| run(state, q))).unwrap_or_else(|_| {
+            *state = worker(shares);
+            Outcome {
+                verdict: Verdict::maybe(MaybeReason::Panicked),
+                proof: None,
+                stats: ProverStats::default(),
+                engine: EngineKind::Axiomatic,
+                witness: None,
+            }
+        })
+    };
 
     let mut settled: Vec<Option<Outcome>> = vec![None; unique.len()];
     if jobs == 1 {
         let mut state = worker(shares);
         for (slot, q) in settled.iter_mut().zip(&unique) {
-            *slot = Some(run(&mut state, q));
+            *slot = Some(answer(&mut state, q));
         }
     } else {
         let next = AtomicUsize::new(0);
-        let (unique, worker, run) = (&unique, &worker, &run);
+        let (unique, worker, answer) = (&unique, &worker, &answer);
         let collected = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..jobs)
                 .map(|_| {
@@ -894,7 +915,7 @@ pub(crate) fn run_deduped<W>(
                             if i >= unique.len() {
                                 break;
                             }
-                            out.push((i, run(&mut state, unique[i])));
+                            out.push((i, answer(&mut state, unique[i])));
                         }
                         out
                     })
@@ -1053,6 +1074,90 @@ mod tests {
         .collect();
         let outs = engine.run_batch(&queries, 2);
         assert!(outs.iter().all(|o| o.verdict.answer == Answer::No));
+    }
+
+    #[test]
+    fn a_panicking_query_answers_maybe_and_its_worker_restarts_fresh() {
+        use std::sync::Condvar;
+        use std::thread::ThreadId;
+        // One unique query per k: `L^k` against `R`.
+        let query = |k: usize| DepQuery::disjoint(&p(&vec!["L"; k].join(".")), &p("R"));
+        let answer_of = |q: &DepQuery| Outcome {
+            verdict: Verdict::definite(Answer::No),
+            proof: None,
+            stats: ProverStats {
+                goals_attempted: (q.a().len() + q.b().len()) as u64,
+                ..ProverStats::default()
+            },
+            engine: EngineKind::Axiomatic,
+            witness: None,
+        };
+        let target = query(1).dedup_key();
+        // Inline, then threaded (enough unique queries to fan out).
+        for (jobs, count) in [(1, 8), (2, INLINE_BATCH_THRESHOLD + 8)] {
+            let mut queries: Vec<DepQuery> = (1..=count).map(query).collect();
+            // Duplicates of the panicking query (one mirrored) and of another.
+            queries.push(DepQuery::disjoint(&p("R"), &p("L")));
+            queries.push(query(1));
+            queries.push(query(2));
+            // Per query run: its thread, how many queries its worker state
+            // had run before, and whether it was the panicking one.
+            let log: Mutex<Vec<(ThreadId, usize, bool)>> = Mutex::new(Vec::new());
+            let panicker: Mutex<Option<ThreadId>> = Mutex::new(None);
+            let recovered = (Mutex::new(false), Condvar::new());
+            let outcomes = run_deduped(
+                &queries,
+                jobs,
+                |_| 0usize,
+                |ran: &mut usize, q| {
+                    let me = std::thread::current().id();
+                    let is_target = q.dedup_key() == target;
+                    // Threaded, other workers wait until the panicking one has
+                    // run its next query, so the test always sees it restart.
+                    let panicked_here = || *panicker.lock().unwrap() == Some(me);
+                    if jobs > 1 && !is_target && !panicked_here() {
+                        let (done, woken) = &recovered;
+                        let guard = done.lock().unwrap();
+                        let _ = woken
+                            .wait_timeout_while(guard, Duration::from_secs(10), |done| !*done)
+                            .unwrap();
+                    }
+                    log.lock().unwrap().push((me, *ran, is_target));
+                    *ran += 1;
+                    if is_target {
+                        *panicker.lock().unwrap() = Some(me);
+                        panic!("injected fault in one batch query");
+                    }
+                    if panicked_here() {
+                        *recovered.0.lock().unwrap() = true;
+                        recovered.1.notify_all();
+                    }
+                    answer_of(q)
+                },
+            );
+            let clean = run_deduped(&queries, jobs, |_| (), |(), q| answer_of(q));
+            assert_eq!(outcomes.len(), queries.len(), "jobs={jobs}");
+            let mut panicked = 0;
+            for ((q, out), want) in queries.iter().zip(&outcomes).zip(&clean) {
+                if q.dedup_key() == target {
+                    panicked += 1;
+                    assert_eq!(out.verdict, Verdict::maybe(MaybeReason::Panicked));
+                    assert!(out.proof.is_none() && out.witness.is_none());
+                } else {
+                    assert_eq!(out.verdict, want.verdict, "jobs={jobs}");
+                    assert_eq!(out.stats, want.stats, "jobs={jobs}");
+                }
+            }
+            assert_eq!(panicked, 3, "jobs={jobs}");
+            let log = log.into_inner().unwrap();
+            let at = log.iter().position(|e| e.2).expect("the target ran");
+            assert_eq!(log.iter().filter(|e| e.2).count(), 1, "deduplicated");
+            let next = log[at + 1..]
+                .iter()
+                .find(|e| e.0 == log[at].0)
+                .expect("the panicking worker ran another query");
+            assert_eq!(next.1, 0, "jobs={jobs}: the worker restarts fresh");
+        }
     }
 
     #[test]

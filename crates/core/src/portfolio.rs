@@ -528,6 +528,17 @@ impl Portfolio {
         }
     }
 
+    /// A portfolio over `engine` with `config` that records its engine
+    /// tallies into `sink`, shared with other portfolios and with the
+    /// caller, instead of counters of its own.
+    pub fn tallied(engine: DepEngine, config: PortfolioConfig, sink: &TallySink) -> Portfolio {
+        Portfolio {
+            engine,
+            config,
+            counters: Arc::clone(&sink.counters),
+        }
+    }
+
     /// The underlying axiomatic engine.
     pub fn engine(&self) -> &DepEngine {
         &self.engine
@@ -536,15 +547,6 @@ impl Portfolio {
     /// The portfolio configuration.
     pub fn config(&self) -> &PortfolioConfig {
         &self.config
-    }
-
-    /// Builder: record engine tallies into `sink` (shared with other
-    /// portfolios and with the caller) instead of this portfolio's
-    /// private counters.
-    #[must_use]
-    pub fn with_tallies(mut self, sink: &TallySink) -> Portfolio {
-        self.counters = Arc::clone(&sink.counters);
-        self
     }
 
     /// A sink handle sharing this portfolio's counters.

@@ -46,10 +46,15 @@ pub enum MaybeReason {
     /// The search ran to completion without resource pressure: the axiom
     /// set simply does not decide the query.
     GenuinelyUnknown,
+    /// The query panicked; the batch it ran in caught the panic and went
+    /// on with its other queries.
+    Panicked,
 }
 
 impl MaybeReason {
-    /// Whether a retry with a larger budget could change the answer.
+    /// Whether something other than the axioms forced the Maybe: a
+    /// resource limit (a retry with a larger budget could change the
+    /// answer), a cancellation, or a panicked query.
     pub fn is_degraded(&self) -> bool {
         !matches!(self, MaybeReason::GenuinelyUnknown)
     }
@@ -66,6 +71,7 @@ impl MaybeReason {
             MaybeReason::RegexBudget => "regex_budget",
             MaybeReason::Cancelled => "cancelled",
             MaybeReason::GenuinelyUnknown => "unknown",
+            MaybeReason::Panicked => "panicked",
         }
     }
 
@@ -79,6 +85,7 @@ impl MaybeReason {
             "regex_budget" => MaybeReason::RegexBudget,
             "cancelled" => MaybeReason::Cancelled,
             "unknown" => MaybeReason::GenuinelyUnknown,
+            "panicked" => MaybeReason::Panicked,
             _ => return None,
         })
     }
@@ -92,6 +99,7 @@ impl fmt::Display for MaybeReason {
             MaybeReason::RegexBudget => write!(f, "DFA state budget exhausted"),
             MaybeReason::Cancelled => write!(f, "cancelled"),
             MaybeReason::GenuinelyUnknown => write!(f, "axioms do not decide the query"),
+            MaybeReason::Panicked => write!(f, "internal error: query panicked"),
         }
     }
 }
@@ -166,6 +174,15 @@ mod tests {
 
         let u = Verdict::maybe(MaybeReason::GenuinelyUnknown);
         assert!(!u.is_degraded());
+    }
+
+    #[test]
+    fn panicked_round_trips_through_its_code() {
+        let reason = MaybeReason::Panicked;
+        assert_eq!(reason.code(), "panicked");
+        assert_eq!(MaybeReason::from_code(reason.code()), Some(reason));
+        assert_eq!(reason.to_string(), "internal error: query panicked");
+        assert!(reason.is_degraded());
     }
 
     #[test]

@@ -94,9 +94,10 @@ impl fmt::Display for QueryError {
 
 impl Error for QueryError {}
 
-/// One dependence question against an [`Analysis`], addressed by label —
-/// the batch-mode counterpart of [`Analysis::test_sequential`] and
-/// [`Analysis::test_loop_carried`].
+/// One dependence question against an [`Analysis`], addressed by label:
+/// what [`Analysis::run_batch`] answers, one of which
+/// [`Analysis::test_sequential`] and [`Analysis::test_loop_carried`] each
+/// ask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchQuery {
     /// Sequential dependence between two labeled statements, `from → to`.
@@ -221,8 +222,7 @@ impl Executor<'_> {
     /// [`DepEngine`] and therefore one proof/subset/DFA cache; each shared
     /// engine fans its queries out over [`BatchOptions::jobs`] threads via
     /// [`DepTest::test_batch`]. Per query, the first definite answer among
-    /// its pairs wins, otherwise the last `Maybe` is reported — the
-    /// selection [`Analysis::test_sequential`] makes. One result is
+    /// its pairs wins, otherwise the last `Maybe` is reported. One result is
     /// returned per plan, in order. The plans lend their pairs to the
     /// batch; a plan gets them back when `keep` holds for its outcome and
     /// is left without pairs otherwise.
@@ -274,9 +274,11 @@ impl Executor<'_> {
                     axioms_under(self.axioms, suspended)
                 });
                 let before = engine.cache_stats();
-                let tester = DepTest::with_portfolio(
-                    Portfolio::new(engine, self.portfolio.clone()).with_tallies(self.tallies),
-                );
+                let tester = DepTest::with_portfolio(Portfolio::tallied(
+                    engine,
+                    self.portfolio.clone(),
+                    self.tallies,
+                ));
                 let outcomes = tester.test_batch(tasks, options.jobs);
                 cache.absorb(&tester.engine().cache_stats().since(&before));
                 outcomes
@@ -402,9 +404,8 @@ pub struct Analysis {
     /// The engine roster every query runs through (the axiomatic prover
     /// alone unless widened).
     portfolio: PortfolioConfig,
-    /// Engine tallies, shared across every tester this analysis spawns
-    /// (clones of the analysis share it too, so panic-isolated report
-    /// queries still aggregate here).
+    /// Engine tallies, shared across every batch this analysis runs
+    /// (clones of the analysis share it too).
     tallies: TallySink,
 }
 
@@ -836,15 +837,6 @@ impl Analysis {
         self.tallies = sink;
     }
 
-    /// A tester over `axioms` on a fresh engine, running through this
-    /// analysis's roster and reporting into its tallies.
-    fn tester(&self, axioms: AxiomSet) -> DepTest {
-        let engine = DepEngine::with_config(axioms, self.config.clone());
-        DepTest::with_portfolio(
-            Portfolio::new(engine, self.portfolio.clone()).with_tallies(&self.tallies),
-        )
-    }
-
     /// The snapshot at a label, if the statement accesses memory.
     pub fn snapshot(&self, label: &str) -> Option<&Snapshot> {
         self.snapshots.get(label)
@@ -853,6 +845,14 @@ impl Analysis {
     /// Every labeled memory access, in label order.
     pub fn snapshots(&self) -> impl Iterator<Item = &Snapshot> {
         self.snapshots.values()
+    }
+
+    /// Every labeled memory access in statement order: sorted by
+    /// `(stmt_index, label)`, the order [`Analysis::all_queries`] asks in.
+    pub fn ordered_snapshots(&self) -> Vec<&Snapshot> {
+        let mut snaps: Vec<&Snapshot> = self.snapshots().collect();
+        snaps.sort_by_key(|s| (s.stmt_index, s.label.as_str()));
+        snaps
     }
 
     /// The labels of every recorded memory access, in label order.
@@ -1006,29 +1006,20 @@ impl Analysis {
     }
 
     /// Runs the full dependence test between two labeled statements, using
-    /// the program's axioms.
+    /// the program's axioms: a one-query [`Analysis::run_batch`].
     ///
     /// # Errors
     ///
     /// See [`QueryError`].
     pub fn test_sequential(&self, s_label: &str, t_label: &str) -> Result<TestOutcome, QueryError> {
-        let pairs = self.sequential_pairs(s_label, t_label)?;
-        let s = self.snapshot(s_label).expect("checked above");
-        let t = self.snapshot(t_label).expect("checked above");
-        let axioms = self.valid_axioms(&[s, t]);
-        let tester = self.tester(axioms);
-        let mut last = None;
-        for (s, t) in &pairs {
-            let outcome = tester.test(s, t, HandleRelation::Same);
-            match outcome.answer {
-                Answer::No | Answer::Yes => return Ok(outcome),
-                Answer::Maybe => last = Some(outcome),
-            }
-        }
-        Ok(last.expect("pairs nonempty"))
+        self.test_one(BatchQuery::Sequential {
+            from: s_label.to_owned(),
+            to: t_label.to_owned(),
+        })
     }
 
-    /// Runs the loop-carried dependence test for the labeled statement.
+    /// Runs the loop-carried dependence test for the labeled statement: a
+    /// one-query [`Analysis::run_batch`].
     ///
     /// # Errors
     ///
@@ -1038,10 +1029,15 @@ impl Analysis {
         label: &str,
         loop_label: Option<&str>,
     ) -> Result<TestOutcome, QueryError> {
-        let (ri, rj) = self.loop_carried_pair(label, loop_label)?;
-        let snap = self.snapshot(label).expect("checked above");
-        let tester = self.tester(self.valid_axioms(&[snap]));
-        Ok(tester.test(&ri, &rj, HandleRelation::Same))
+        self.test_one(BatchQuery::LoopCarried {
+            label: label.to_owned(),
+            loop_label: loop_label.map(str::to_owned),
+        })
+    }
+
+    fn test_one(&self, query: BatchQuery) -> Result<TestOutcome, QueryError> {
+        let mut report = self.run_batch(&[query], &BatchOptions::new());
+        report.results.pop().expect("one result per query")
     }
 
     /// Resolves one [`BatchQuery`] to its memory-reference pairs and what
@@ -1066,10 +1062,9 @@ impl Analysis {
     /// Runs many dependence queries as engine batches and reports the
     /// per-query outcomes together with the engine cache statistics.
     ///
-    /// Verdict-identical to running [`Analysis::test_sequential`] /
-    /// [`Analysis::test_loop_carried`] per query: each query's pairs are
-    /// resolved the same way, and the same first-definite-else-last
-    /// selection applies. Queries whose points suspend the same axioms
+    /// Each query's pairs are tested under the axioms valid at its points,
+    /// and per query the first definite answer among its pairs wins,
+    /// otherwise the last `Maybe` is reported. Queries whose points suspend the same axioms
     /// (§3.4 may suspend different axioms at different points) share one
     /// [`DepEngine`] and therefore one proof/subset/DFA cache; each shared
     /// engine fans its queries out over [`BatchOptions::jobs`] threads via
@@ -1102,8 +1097,7 @@ impl Analysis {
     /// stable and incremental caches keyed on the rendered queries are
     /// insensitive to container iteration order.
     pub fn all_queries(&self) -> Vec<BatchQuery> {
-        let mut snaps: Vec<&Snapshot> = self.snapshots().collect();
-        snaps.sort_by_key(|s| (s.stmt_index, s.label.as_str()));
+        let snaps = self.ordered_snapshots();
         let mut queries = Vec::new();
         for snap in &snaps {
             if !snap.loops.is_empty() {
@@ -1611,11 +1605,45 @@ mod tests {
         ));
     }
 
+    /// The per-query path the dependence queries took before they became
+    /// batches, kept as the reference the batch path is checked against:
+    /// a fresh tester over the query's valid axioms, the query's pairs in
+    /// order, the first definite answer or else the last `Maybe`.
+    fn reference(analysis: &Analysis, query: &BatchQuery) -> Result<TestOutcome, QueryError> {
+        let (pairs, labels) = match query {
+            BatchQuery::Sequential { from, to } => {
+                (analysis.sequential_pairs(from, to)?, vec![from, to])
+            }
+            BatchQuery::LoopCarried { label, loop_label } => (
+                vec![analysis.loop_carried_pair(label, loop_label.as_deref())?],
+                vec![label],
+            ),
+        };
+        let snaps: Vec<&Snapshot> = labels
+            .iter()
+            .map(|l| {
+                analysis
+                    .snapshot(l)
+                    .expect("a phrased query's labels exist")
+            })
+            .collect();
+        let tester = DepTest::with_config(&analysis.valid_axioms(&snaps), analysis.config.clone());
+        let mut last = None;
+        for (s, t) in &pairs {
+            let outcome = tester.test(s, t, HandleRelation::Same);
+            if outcome.answer != Answer::Maybe {
+                return Ok(outcome);
+            }
+            last = Some(outcome);
+        }
+        Ok(last.expect("a phrased query has at least one pair"))
+    }
+
     #[test]
     fn batch_matches_sequential_queries() {
         // Mixed workload over the §3.3 tree example plus a loop: the
-        // batched answers must equal the one-at-a-time answers, errors
-        // included, in order.
+        // batched answers and proofs must equal the reference's
+        // one-at-a-time ones, errors included, in order.
         let src = format!(
             "{TREE}
             proc subr(root: LLBinaryTree) {{
@@ -1645,26 +1673,36 @@ mod tests {
             from: "S".to_owned(),
             to: "T".to_owned(),
         }));
-        let sequential: Vec<Result<(Answer, _), QueryError>> = queries
+        // Proofs are compared as text: answer, reason and proof trees.
+        let shown = |o: TestOutcome| {
+            let proofs: Vec<String> = o.proofs.iter().map(ToString::to_string).collect();
+            (o.answer, o.reason, proofs)
+        };
+        let want: Vec<_> = queries
             .iter()
-            .map(|q| {
-                match q {
-                    BatchQuery::Sequential { from, to } => analysis.test_sequential(from, to),
-                    BatchQuery::LoopCarried { label, loop_label } => {
-                        analysis.test_loop_carried(label, loop_label.as_deref())
-                    }
-                }
-                .map(|o| (o.answer, o.reason))
-            })
+            .map(|q| reference(&analysis, q).map(shown))
             .collect();
-        for jobs in [1, 3] {
-            let batched: Vec<Result<(Answer, _), QueryError>> = analysis
+        assert!(want
+            .iter()
+            .any(|r| matches!(r, Ok((Answer::No, _, p)) if !p.is_empty())));
+        for jobs in [1, 4] {
+            let batched: Vec<_> = analysis
                 .run_batch(&queries, &BatchOptions::new().with_jobs(jobs))
                 .results
                 .into_iter()
-                .map(|r| r.map(|o| (o.answer, o.reason)))
+                .map(|r| r.map(shown))
                 .collect();
-            assert_eq!(batched, sequential, "jobs={jobs}");
+            assert_eq!(batched, want, "jobs={jobs}");
+        }
+        // The one-query calls are batches of one.
+        for (q, want) in queries.iter().zip(&want) {
+            let one = match q {
+                BatchQuery::Sequential { from, to } => analysis.test_sequential(from, to),
+                BatchQuery::LoopCarried { label, loop_label } => {
+                    analysis.test_loop_carried(label, loop_label.as_deref())
+                }
+            };
+            assert_eq!(&one.map(shown), want, "{q:?}");
         }
     }
 

@@ -529,6 +529,22 @@ impl ProgramAnalysis {
         self.procs.iter().map(|u| u.name.as_str()).collect()
     }
 
+    /// A procedure's §3.3 analysis (its labeled accesses, their matrices
+    /// and loop nests), `None` when the program has no such procedure.
+    /// Built on first need and at most once per `ProgramAnalysis`, so
+    /// after a run planned the procedure this costs a lookup.
+    pub fn analysis(&self, proc_name: &str) -> Option<&Analysis> {
+        let unit = self.procs.iter().find(|u| u.name == proc_name)?;
+        Some(self.analysis_of(unit))
+    }
+
+    fn analysis_of<'a>(&self, unit: &'a ProcUnit) -> &'a Analysis {
+        unit.analysis.get_or_init(|| {
+            analyze_proc_under(&self.program, &unit.name, Arc::clone(&self.axioms))
+                .expect("procedure exists in its own program")
+        })
+    }
+
     /// The content hash of the program's axiom set.
     pub fn axioms_hash(&self) -> u64 {
         self.axioms_hash
@@ -713,10 +729,7 @@ impl ProgramAnalysis {
         unit: &ProcUnit,
         replay: &HashMap<&str, &StoredVerdict>,
     ) -> (ProcPlan, Vec<Planned>) {
-        let analysis = unit.analysis.get_or_init(|| {
-            analyze_proc_under(&self.program, &unit.name, Arc::clone(&self.axioms))
-                .expect("procedure exists in its own program")
-        });
+        let analysis = self.analysis_of(unit);
         let all = analysis.all_queries();
         let queries = QueryList::new(&all);
         let fresh = all

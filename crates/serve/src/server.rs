@@ -82,7 +82,9 @@ use apt_core::{
     Budget, CancelToken, DepEngine, DepQuery, EngineSelection, Origin, Outcome, Portfolio,
     PortfolioConfig, ProverConfig, ProverStats, TallySink,
 };
-use apt_paths::{analyze_program, BatchOptions, DepTable, RowOutcome};
+use apt_paths::{
+    analyze_program, BatchOptions, DepTable, ProcReport, QueryError, ReportRow, RowOutcome,
+};
 
 use crate::fault::FaultPlan;
 use crate::json::{obj, Json};
@@ -1068,11 +1070,18 @@ fn effective_portfolio(ctx: &Ctx, engines: Option<EngineSelection>) -> Portfolio
 /// A session engine's executor for one request, recording into the
 /// server-wide tallies.
 fn portfolio(ctx: &Ctx, engine: &DepEngine, engines: Option<EngineSelection>) -> Portfolio {
-    Portfolio::new(engine.clone(), effective_portfolio(ctx, engines)).with_tallies(&ctx.tallies)
+    Portfolio::tallied(
+        engine.clone(),
+        effective_portfolio(ctx, engines),
+        &ctx.tallies,
+    )
 }
 
-/// The `report` verb: whole-program analysis (the `apt report`
-/// workload) over `apt_ir` + `apt_paths`. Runs entirely on a worker.
+/// The `report` verb: the whole program's dependence workload (what
+/// `apt batch` runs), one [`apt_paths::ProgramAnalysis::run`], listed per
+/// query with its reason and maybe code. `proc` selects which procedures
+/// the reply lists; the run still covers the program. Runs entirely on a
+/// worker.
 fn run_report(
     ctx: &Arc<Ctx>,
     program_text: &str,
@@ -1083,50 +1092,50 @@ fn run_report(
 ) -> Result<Vec<(&'static str, Json)>, ProtoError> {
     let program = apt_ir::parse_program(program_text)
         .map_err(|e| ProtoError::bad(format!("program: {e}")))?;
-    let names: Vec<String> = match proc {
-        Some(n) => vec![n.to_owned()],
-        None => program.procs.iter().map(|p| p.name.clone()).collect(),
-    };
-    if names.is_empty() {
+    if let Some(name) = proc.filter(|n| program.proc(n).is_none()) {
+        let missing = QueryError::NoSuchLabel(name.to_owned()).to_string();
+        return Ok(vec![
+            (
+                "procs",
+                Json::Arr(vec![obj(vec![
+                    ("proc", name.into()),
+                    ("error", missing.as_str().into()),
+                ])]),
+            ),
+            ("total_queries", 0usize.into()),
+        ]);
+    }
+    if program.procs.is_empty() {
         return Err(ProtoError::bad("program has no procedures"));
     }
-    let budget = budget
+    let mut config = ProverConfig::new();
+    config.budget = budget
         .resolve(&ctx.config.default_budget, &ctx.config.ceiling)
         .with_cancel(cancel.clone());
-    let mut config = ProverConfig::new();
-    config.budget = budget;
-    let portfolio_config = effective_portfolio(ctx, engines);
-    let jobs = ctx.config.workers;
-    let mut procs: Vec<Json> = Vec::new();
-    let mut total = 0usize;
-    for name in &names {
-        let mut analysis = match apt_paths::analyze_proc(&program, name) {
-            Ok(a) => a,
-            Err(e) => {
-                procs.push(obj(vec![
-                    ("proc", name.as_str().into()),
-                    ("error", e.to_string().as_str().into()),
-                ]));
-                continue;
-            }
-        };
-        analysis.set_prover_config(config.clone());
-        analysis.set_portfolio_config(portfolio_config.clone());
-        analysis.set_portfolio_tallies(ctx.tallies.clone());
-        let queries = analysis.all_queries();
-        total += queries.len();
-        let report = analysis.run_batch(&queries, &BatchOptions::new().with_jobs(jobs));
-        let rows: Vec<Json> = queries
-            .iter()
-            .zip(report.results.iter())
-            .map(|(q, r)| report_row(q, r))
-            .collect();
-        procs.push(obj(vec![
-            ("proc", name.as_str().into()),
-            ("queries", Json::Arr(rows)),
-        ]));
-    }
-    Metrics::add(&ctx.metrics.queries_total, total as u64);
+    let mut analysis = analyze_program(&program)
+        .with_prover_config(config)
+        .with_portfolio_config(effective_portfolio(ctx, engines));
+    analysis.set_portfolio_tallies(&ctx.tallies);
+    let report = analysis.run(None, &BatchOptions::new().with_jobs(ctx.config.workers));
+    Metrics::add(&ctx.metrics.queries_total, report.total_queries() as u64);
+    let listed: Vec<&ProcReport> = report
+        .procs
+        .iter()
+        .filter(|p| proc.is_none_or(|n| p.name == n))
+        .collect();
+    let total: usize = listed.iter().map(|p| p.rows.len()).sum();
+    let procs = listed
+        .iter()
+        .map(|p| {
+            obj(vec![
+                ("proc", p.name.as_str().into()),
+                (
+                    "queries",
+                    Json::Arr(p.rows.iter().map(report_row).collect()),
+                ),
+            ])
+        })
+        .collect();
     Ok(vec![
         ("procs", Json::Arr(procs)),
         ("total_queries", total.into()),
@@ -1222,32 +1231,25 @@ fn run_analyze(
     ])
 }
 
-fn report_row(
-    query: &apt_paths::BatchQuery,
-    result: &Result<apt_core::TestOutcome, apt_paths::QueryError>,
-) -> Json {
-    let what = match query {
-        apt_paths::BatchQuery::LoopCarried { label, .. } => format!("carried {label}"),
-        apt_paths::BatchQuery::Sequential { from, to } => format!("{from} vs {to}"),
-    };
-    match result {
-        Ok(outcome) => {
+fn report_row(row: &ReportRow) -> Json {
+    let mut pairs = vec![("query", row.key.as_str().into())];
+    match &row.outcome {
+        RowOutcome::Fresh(outcome) => {
             let maybe = match outcome.maybe {
                 Some(r) => Json::Str(r.code().to_owned()),
                 None => Json::Null,
             };
-            obj(vec![
-                ("query", what.as_str().into()),
+            pairs.extend([
                 ("answer", outcome.answer.as_str().into()),
                 ("reason", format!("{:?}", outcome.reason).as_str().into()),
                 ("maybe", maybe),
-            ])
+            ]);
         }
-        Err(e) => obj(vec![
-            ("query", what.as_str().into()),
-            ("error", e.to_string().as_str().into()),
-        ]),
+        // A run without a baseline replays nothing.
+        RowOutcome::Replayed(answer) => pairs.push(("answer", answer.as_str().into())),
+        RowOutcome::Error(e) => pairs.push(("error", e.to_string().as_str().into())),
     }
+    obj(pairs)
 }
 
 /// A server's shared state with one worker and no reactor, for unit

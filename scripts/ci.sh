@@ -506,7 +506,7 @@ wait "$SERVE_PID" || {
 trap - EXIT
 rm -rf "$ANDIR"
 
-echo "==> portfolio smoke: --engines all parity + refuter resolves a Maybe + no dyck"
+echo "==> portfolio smoke: --engines all parity + refuter resolves a Maybe + one run per program + no dyck"
 # Staging the engines must not change a definite answer: the provable
 # Figure 3 pair stays No (exit 0) under --engines all.
 solo_rc=0; staged_rc=0
@@ -550,6 +550,28 @@ if [[ "$footer1" != "$footer2" ]] \
     echo "$footer2" >&2
     exit 1
 fi
+# report, batch and analyze render one whole-program run, so on every
+# example program they print the same engine-run footer and exit alike.
+for prog in examples/programs/*.apt; do
+    first_cmd=""
+    for cmd in report batch analyze; do
+        rc=0
+        out=$("$APT" "$cmd" "$prog" --engines all) || rc=$?
+        foot=$(sed -n '/^-- portfolio: engine runs --$/,/^(dependence witnesses/p' <<<"$out")
+        if [[ -z "$foot" ]]; then
+            echo "error: apt $cmd $prog --engines all printed no engine-run footer" >&2
+            exit 1
+        fi
+        if [[ -z "$first_cmd" ]]; then
+            first_cmd=$cmd; first_foot=$foot; first_rc=$rc
+        elif [[ "$foot" != "$first_foot" || "$rc" -ne "$first_rc" ]]; then
+            echo "error: apt $cmd and apt $first_cmd disagree on $prog --engines all" \
+                "(exit $rc vs $first_rc):" >&2
+            diff <(echo "$first_foot") <(echo "$foot") >&2 || true
+            exit 1
+        fi
+    done
+done
 # Refuter verdicts must not depend on the order fields were interned in:
 # one tree axiom set with its sibling fields written either way round.
 ORDERDIR=$(mktemp -d /tmp/apt-axiom-order.XXXXXX)

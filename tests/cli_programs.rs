@@ -127,3 +127,345 @@ fn report_engine_footer_is_deterministic() {
         }
     }
 }
+
+/// Stdout (or, for a usage error, the stderr message) and exit code of
+/// `apt <args>`, a program name standing for its file in
+/// `examples/programs/`. The memory line reads `(memory: MASKED)`: its
+/// arena and RSS figures vary from run to run.
+fn apt(args: &[&str]) -> (String, i32) {
+    let args: Vec<String> = args
+        .iter()
+        .enumerate()
+        .map(|(i, a)| match i {
+            1 => format!("{}/examples/programs/{a}.apt", env!("CARGO_MANIFEST_DIR")),
+            _ => (*a).to_owned(),
+        })
+        .collect();
+    match run(&args) {
+        Ok(out) => {
+            let code = out.exit_code();
+            let text = out
+                .text
+                .lines()
+                .map(|l| {
+                    if l.starts_with("(memory: ") {
+                        "(memory: MASKED)"
+                    } else {
+                        l
+                    }
+                })
+                .fold(String::new(), |text, l| text + l + "\n");
+            (text, code)
+        }
+        Err(e) => (format!("{e}\n"), 2),
+    }
+}
+
+/// `report`, `batch` and `analyze` render one whole-program run. Their
+/// output on the shipped programs is pinned here byte for byte (bar the
+/// memory line), as the per-query paths printed it before they became
+/// renderings of that run, without the report's per-row timings.
+const GOLDEN: &[(&[&str], i32, &str)] = &[
+    (
+        &["report", "factor"],
+        0,
+        r#"== parallelization report: procedure eliminate ==
+label          access                     depth  innermost loop-carried dependence
+S              write e->val               2      No  -> PARALLELIZABLE
+(dispatch: 1 admitted, 3 pruned; 0 negative-memo hits)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["report", "factor", "--engines", "all"],
+        0,
+        r#"== parallelization report: procedure eliminate ==
+label          access                     depth  innermost loop-carried dependence
+S              write e->val               2      No  -> PARALLELIZABLE
+(dispatch: 1 admitted, 3 pruned; 0 negative-memo hits)
+-- portfolio: engine runs --
+axiomatic  1 won, 1 lost, 0 cancelled
+refuter    0 won, 0 lost, 0 cancelled
+(dependence witnesses found: 0)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["batch", "factor", "--jobs", "2"],
+        0,
+        r#"== batch: procedure eliminate (1 queries, 2 jobs) ==
+carried S                      No
+(dispatch: 1 admitted, 3 pruned; 0 negative-memo hits)
+(cache: 1 proved / 0 failed goals, 1 subset memos; dfas: 2 raw [6 states] -> 0 minimized [0 states])
+"#,
+    ),
+    (
+        &["batch", "factor", "--jobs", "2", "--engines", "all"],
+        0,
+        r#"== batch: procedure eliminate (1 queries, 2 jobs) ==
+carried S                      No
+(dispatch: 1 admitted, 3 pruned; 0 negative-memo hits)
+(cache: 1 proved / 0 failed goals, 1 subset memos; dfas: 2 raw [6 states] -> 0 minimized [0 states])
+-- portfolio: engine runs --
+axiomatic  1 won, 1 lost, 0 cancelled
+refuter    0 won, 0 lost, 0 cancelled
+(dependence witnesses found: 0)
+"#,
+    ),
+    (
+        &["analyze", "factor", "--jobs", "2"],
+        0,
+        r#"== analyze: 1 procedure(s), 2 jobs ==
+procedure eliminate [cold: 0 replayed, 1 reproved]
+  carried S                      No
+totals: 1 queries — 0 replayed, 1 reproved; 0/1 procedures reused
+"#,
+    ),
+    (
+        &["analyze", "factor", "--jobs", "2", "--engines", "all"],
+        0,
+        r#"== analyze: 1 procedure(s), 2 jobs ==
+procedure eliminate [cold: 0 replayed, 1 reproved]
+  carried S                      No
+totals: 1 queries — 0 replayed, 1 reproved; 0/1 procedures reused
+-- portfolio: engine runs --
+axiomatic  1 won, 1 lost, 0 cancelled
+refuter    0 won, 0 lost, 0 cancelled
+(dependence witnesses found: 0)
+"#,
+    ),
+    (
+        &["report", "subr"],
+        0,
+        r#"== parallelization report: procedure subr ==
+label          access                     depth  innermost loop-carried dependence
+S              write p->d                 0      - (not in a loop)
+T              read  q->d                 0      - (not in a loop)
+-- pairwise conflicts (>=1 write) --
+S              vs T              No
+(dispatch: 1 admitted, 8 pruned; 0 negative-memo hits)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["report", "subr", "--engines", "all"],
+        0,
+        r#"== parallelization report: procedure subr ==
+label          access                     depth  innermost loop-carried dependence
+S              write p->d                 0      - (not in a loop)
+T              read  q->d                 0      - (not in a loop)
+-- pairwise conflicts (>=1 write) --
+S              vs T              No
+(dispatch: 1 admitted, 8 pruned; 0 negative-memo hits)
+-- portfolio: engine runs --
+axiomatic  1 won, 1 lost, 0 cancelled
+refuter    0 won, 0 lost, 0 cancelled
+(dependence witnesses found: 0)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["batch", "subr", "--jobs", "2"],
+        0,
+        r#"== batch: procedure subr (1 queries, 2 jobs) ==
+S vs T                         No
+(dispatch: 1 admitted, 8 pruned; 0 negative-memo hits)
+(cache: 3 proved / 0 failed goals, 0 subset memos; dfas: 0 raw [0 states] -> 0 minimized [0 states])
+"#,
+    ),
+    (
+        &["batch", "subr", "--jobs", "2", "--engines", "all"],
+        0,
+        r#"== batch: procedure subr (1 queries, 2 jobs) ==
+S vs T                         No
+(dispatch: 1 admitted, 8 pruned; 0 negative-memo hits)
+(cache: 3 proved / 0 failed goals, 0 subset memos; dfas: 0 raw [0 states] -> 0 minimized [0 states])
+-- portfolio: engine runs --
+axiomatic  1 won, 1 lost, 0 cancelled
+refuter    0 won, 0 lost, 0 cancelled
+(dependence witnesses found: 0)
+"#,
+    ),
+    (
+        &["analyze", "subr", "--jobs", "2"],
+        0,
+        r#"== analyze: 1 procedure(s), 2 jobs ==
+procedure subr [cold: 0 replayed, 1 reproved]
+  S vs T                         No
+totals: 1 queries — 0 replayed, 1 reproved; 0/1 procedures reused
+"#,
+    ),
+    (
+        &["analyze", "subr", "--jobs", "2", "--engines", "all"],
+        0,
+        r#"== analyze: 1 procedure(s), 2 jobs ==
+procedure subr [cold: 0 replayed, 1 reproved]
+  S vs T                         No
+totals: 1 queries — 0 replayed, 1 reproved; 0/1 procedures reused
+-- portfolio: engine runs --
+axiomatic  1 won, 1 lost, 0 cancelled
+refuter    0 won, 0 lost, 0 cancelled
+(dependence witnesses found: 0)
+"#,
+    ),
+    (
+        &["report", "twoproc"],
+        0,
+        r#"== parallelization report: procedure update ==
+label          access                     depth  innermost loop-carried dependence
+U              write q->f                 1      No  -> PARALLELIZABLE
+(dispatch: 1 admitted, 1 pruned; 0 negative-memo hits)
+
+== parallelization report: procedure touch ==
+label          access                     depth  innermost loop-carried dependence
+W              write h->f                 0      - (not in a loop)
+X              read  h->f                 0      - (not in a loop)
+-- pairwise conflicts (>=1 write) --
+W              vs X              Yes
+(dispatch: 0 admitted, 0 pruned; 0 negative-memo hits)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["report", "twoproc", "--engines", "all"],
+        0,
+        r#"== parallelization report: procedure update ==
+label          access                     depth  innermost loop-carried dependence
+U              write q->f                 1      No  -> PARALLELIZABLE
+(dispatch: 1 admitted, 1 pruned; 0 negative-memo hits)
+
+== parallelization report: procedure touch ==
+label          access                     depth  innermost loop-carried dependence
+W              write h->f                 0      - (not in a loop)
+X              read  h->f                 0      - (not in a loop)
+-- pairwise conflicts (>=1 write) --
+W              vs X              Yes
+(dispatch: 0 admitted, 0 pruned; 0 negative-memo hits)
+-- portfolio: engine runs --
+axiomatic  1 won, 1 lost, 0 cancelled
+refuter    0 won, 0 lost, 0 cancelled
+(dependence witnesses found: 0)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["batch", "twoproc", "--jobs", "2"],
+        0,
+        r#"== batch: procedure update (1 queries, 2 jobs) ==
+carried U                      No
+(dispatch: 1 admitted, 1 pruned; 0 negative-memo hits)
+(cache: 1 proved / 0 failed goals, 0 subset memos; dfas: 0 raw [0 states] -> 0 minimized [0 states])
+
+== batch: procedure touch (1 queries, 2 jobs) ==
+W vs X                         Yes
+(dispatch: 0 admitted, 0 pruned; 0 negative-memo hits)
+(cache: 0 proved / 0 failed goals, 0 subset memos; dfas: 0 raw [0 states] -> 0 minimized [0 states])
+"#,
+    ),
+    (
+        &["batch", "twoproc", "--jobs", "2", "--engines", "all"],
+        0,
+        r#"== batch: procedure update (1 queries, 2 jobs) ==
+carried U                      No
+(dispatch: 1 admitted, 1 pruned; 0 negative-memo hits)
+(cache: 1 proved / 0 failed goals, 0 subset memos; dfas: 0 raw [0 states] -> 0 minimized [0 states])
+
+== batch: procedure touch (1 queries, 2 jobs) ==
+W vs X                         Yes
+(dispatch: 0 admitted, 0 pruned; 0 negative-memo hits)
+(cache: 0 proved / 0 failed goals, 0 subset memos; dfas: 0 raw [0 states] -> 0 minimized [0 states])
+-- portfolio: engine runs --
+axiomatic  1 won, 1 lost, 0 cancelled
+refuter    0 won, 0 lost, 0 cancelled
+(dependence witnesses found: 0)
+"#,
+    ),
+    (
+        &["analyze", "twoproc", "--jobs", "2"],
+        0,
+        r#"== analyze: 2 procedure(s), 2 jobs ==
+procedure update [cold: 0 replayed, 1 reproved]
+  carried U                      No
+procedure touch [cold: 0 replayed, 1 reproved]
+  W vs X                         Yes
+totals: 2 queries — 0 replayed, 2 reproved; 0/2 procedures reused
+"#,
+    ),
+    (
+        &["analyze", "twoproc", "--jobs", "2", "--engines", "all"],
+        0,
+        r#"== analyze: 2 procedure(s), 2 jobs ==
+procedure update [cold: 0 replayed, 1 reproved]
+  carried U                      No
+procedure touch [cold: 0 replayed, 1 reproved]
+  W vs X                         Yes
+totals: 2 queries — 0 replayed, 2 reproved; 0/2 procedures reused
+-- portfolio: engine runs --
+axiomatic  1 won, 1 lost, 0 cancelled
+refuter    0 won, 0 lost, 0 cancelled
+(dependence witnesses found: 0)
+"#,
+    ),
+    (
+        &["report", "factor", "--deadline-ms", "0"],
+        1,
+        r#"== parallelization report: procedure eliminate ==
+label          access                     depth  innermost loop-carried dependence
+S              write e->val               2      Maybe (deadline exceeded) -> keep sequential
+(1 degraded answer(s) across 1 loop queries)
+(dispatch: 0 admitted, 0 pruned; 0 negative-memo hits)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["report", "subr", "--deadline-ms", "0"],
+        1,
+        r#"== parallelization report: procedure subr ==
+label          access                     depth  innermost loop-carried dependence
+S              write p->d                 0      - (not in a loop)
+T              read  q->d                 0      - (not in a loop)
+-- pairwise conflicts (>=1 write) --
+S              vs T              Maybe (deadline exceeded)
+(dispatch: 0 admitted, 0 pruned; 0 negative-memo hits)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["report", "twoproc", "--proc", "update"],
+        0,
+        r#"== parallelization report: procedure update ==
+label          access                     depth  innermost loop-carried dependence
+U              write q->f                 1      No  -> PARALLELIZABLE
+(dispatch: 1 admitted, 1 pruned; 0 negative-memo hits)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["report", "twoproc", "--proc", "touch"],
+        0,
+        r#"== parallelization report: procedure touch ==
+label          access                     depth  innermost loop-carried dependence
+W              write h->f                 0      - (not in a loop)
+X              read  h->f                 0      - (not in a loop)
+-- pairwise conflicts (>=1 write) --
+W              vs X              Yes
+(dispatch: 0 admitted, 0 pruned; 0 negative-memo hits)
+(memory: MASKED)
+"#,
+    ),
+    (
+        &["report", "twoproc", "--proc", "nosuch"],
+        2,
+        r#"cannot analyze "nosuch": no memory-access snapshot labeled "nosuch"
+"#,
+    ),
+];
+
+#[test]
+fn report_batch_and_analyze_print_the_pinned_outputs() {
+    for (args, code, want) in GOLDEN {
+        let (text, got) = apt(args);
+        assert_eq!(text, *want, "apt {}", args.join(" "));
+        assert_eq!(got, *code, "apt {}", args.join(" "));
+    }
+}

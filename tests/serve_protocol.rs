@@ -758,3 +758,64 @@ fn a_saturated_pool_still_answers_settled_queries() {
     handle.stop();
     join.join().expect("server thread");
 }
+
+#[test]
+fn report_replies_on_the_two_procedure_example_keep_their_bytes() {
+    // The `report` verb renders one whole-program run; `proc` picks the
+    // procedures the reply lists. These are the bytes the per-procedure
+    // batches answered with before.
+    let (addr, handle, join) = start_server(ServeConfig::new());
+    let program = std::fs::read_to_string(format!(
+        "{}/examples/programs/twoproc.apt",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .expect("read twoproc.apt");
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    let cases: [(Option<&str>, &str); 3] = [
+        (
+            None,
+            concat!(
+                r#"{"ok":true,"procs":[{"proc":"update","queries":[{"query":"carried U","#,
+                r#""answer":"No","reason":"ProvenDisjoint","maybe":null}]},"#,
+                r#"{"proc":"touch","queries":[{"query":"W vs X","answer":"Yes","#,
+                r#""reason":"IdenticalSingletonPaths","maybe":null}]}],"total_queries":2}"#,
+                "\n"
+            ),
+        ),
+        (
+            Some("touch"),
+            concat!(
+                r#"{"ok":true,"procs":[{"proc":"touch","queries":[{"query":"W vs X","#,
+                r#""answer":"Yes","reason":"IdenticalSingletonPaths","maybe":null}]}],"#,
+                r#""total_queries":1}"#,
+                "\n"
+            ),
+        ),
+        (
+            Some("nosuch"),
+            concat!(
+                r#"{"ok":true,"procs":[{"proc":"nosuch","#,
+                r#""error":"no memory-access snapshot labeled \"nosuch\""}],"#,
+                r#""total_queries":0}"#,
+                "\n"
+            ),
+        ),
+    ];
+    for (proc, want) in cases {
+        let mut frame = vec![
+            ("verb", Json::from("report")),
+            ("program", program.as_str().into()),
+        ];
+        if let Some(proc) = proc {
+            frame.push(("proc", proc.into()));
+        }
+        writeln!(writer, "{}", obj(frame).render()).expect("send");
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut line).expect("read reply");
+        assert_eq!(line, want, "proc {proc:?}");
+    }
+    handle.stop();
+    join.join().expect("server thread");
+}
